@@ -4,8 +4,9 @@ The paper derived miss rates from closed-form expressions "rather than
 developing a trace driven simulator that could be ported to Dinero".  This
 reproduction builds the simulator anyway and uses it as ground truth: it is a
 small Dinero-style set-associative simulator with pluggable replacement
-policies, write policies, 3C miss classification, and a vectorized fast path
-for the large design-space sweeps of Algorithm MemExplore.
+policies, write policies and 3C miss classification, plus one vectorized LRU
+engine (:mod:`repro.cache.stackdist`) for the large design-space sweeps of
+Algorithm MemExplore.
 """
 
 from repro.cache.trace import MemoryAccess, MemoryTrace
@@ -22,9 +23,9 @@ from repro.cache.distance import miss_ratio_curve, reuse_profile, stack_distance
 from repro.cache.stackdist import (
     GridCounts,
     grid_miss_counts,
+    lru_miss_vector,
     set_local_distances,
 )
-from repro.cache.fastsim import fast_hit_miss_counts
 from repro.cache.sampling import SampledEstimate, sampled_miss_rate
 from repro.cache.hierarchy import HierarchyStats, TwoLevelCache
 from repro.cache.prefetch import PrefetchCache, PrefetchStats
@@ -53,8 +54,8 @@ __all__ = [
     "WriteBufferStats",
     "GridCounts",
     "classify_misses",
-    "fast_hit_miss_counts",
     "grid_miss_counts",
+    "lru_miss_vector",
     "make_policy",
     "miss_ratio_curve",
     "reuse_profile",

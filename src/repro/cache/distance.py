@@ -16,10 +16,11 @@ follows the curve down (see EXPERIMENTS.md, Figures 3-4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
+from repro.cache.stackdist import COLD, set_local_distances
 from repro.cache.trace import MemoryTrace
 
 __all__ = [
@@ -28,31 +29,16 @@ __all__ = [
     "stack_distances",
 ]
 
-#: Stack distance reported for a line's first touch (a compulsory miss).
-COLD = -1
-
 
 def stack_distances(line_ids: Sequence[int]) -> np.ndarray:
     """LRU stack distance of every access (``COLD`` for first touches).
 
     A distance of 1 means "the most recently used line was re-touched";
     an access with distance ``d`` hits any fully-associative LRU cache of
-    at least ``d`` lines.
+    at least ``d`` lines.  The one-set case of
+    :func:`repro.cache.stackdist.set_local_distances`.
     """
-    line_ids = np.asarray(line_ids, dtype=np.int64)
-    distances = np.empty(line_ids.size, dtype=np.int64)
-    stack: List[int] = []  # most recent last
-    index: Dict[int, bool] = {}
-    for t, line in enumerate(line_ids.tolist()):
-        if line in index:
-            pos = stack.index(line)
-            distances[t] = len(stack) - pos
-            del stack[pos]
-        else:
-            distances[t] = COLD
-            index[line] = True
-        stack.append(line)
-    return distances
+    return set_local_distances(line_ids, 1)
 
 
 def miss_ratio_curve(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.fastsim import fast_miss_vector
+from repro.cache.stackdist import lru_miss_vector
 
 __all__ = ["SampledEstimate", "sampled_miss_rate"]
 
@@ -65,7 +65,7 @@ def sampled_miss_rate(
     )
     if sampled.size == 0:
         return SampledEstimate(0.0, 0, total, sampled_sets, num_sets)
-    miss = fast_miss_vector(sampled, num_sets, ways)
+    miss = lru_miss_vector(sampled, num_sets, ways)
     return SampledEstimate(
         miss_rate=float(miss.mean()),
         sampled_accesses=int(sampled.size),

@@ -1,7 +1,7 @@
-"""One-pass, all-configuration LRU simulation (vectorized Mattson).
+"""The LRU engine: one-pass, all-configuration simulation (vectorized Mattson).
 
-:mod:`repro.cache.distance` prices every *capacity* of a fully-associative
-LRU cache from one stack-distance pass; this module generalises the trick
+Mattson's stack-distance pass prices every *capacity* of a
+fully-associative LRU cache at once; this module generalises the trick
 to the set-associative, bit-selected caches of the MemExplore space.  With
 ``set = line mod S`` a line's set never changes, so the LRU state of each
 set is the global recency order restricted to that set, and an access hits
@@ -13,19 +13,23 @@ direct-mapped falls out as ``W = 1``.
 
 Two vectorized passes live here (no Python loop over accesses):
 
-* :func:`grid_miss_counts` -- the sweep workhorse.  Accesses are stably
-  grouped by set index (segments stay in time order), then a *stack
-  filter* peels one LRU depth per level: at level ``k`` every event
-  carries the value it pushes (``P``, the top it demoted at level
-  ``k-1``; at the base level its own line) and the line it looks for
-  (``Q``).  Because segments are contiguous the current top is simply
-  the previous event's push, so each level is one shift-and-compare;
-  ``Q == P[t-1]`` means the line sat at depth exactly ``k`` and the
-  event drops out, everything else survives with ``P`` replaced by the
-  demoted top.  Values from different segments differ mod ``S`` and can
-  never compare equal, so no boundary bookkeeping is needed.  ``cap``
-  levels (the largest requested ways) over shrinking arrays price the
-  whole associativity range; events still unresolved miss everywhere.
+* the *stack filter* behind :func:`grid_miss_counts` (the sweep
+  workhorse) and :func:`lru_miss_vector` (one geometry's per-access
+  miss flags).  Accesses are stably grouped by set index (segments
+  stay in time order), then the filter peels one LRU depth per level:
+  at level ``k`` every event carries the value it pushes (``P``, the
+  top it demoted at level ``k-1``; at the base level its own line) and
+  the line it looks for (``Q``).  Because segments are contiguous the
+  current top is simply the previous event's push, so each level is
+  one shift-and-compare; ``Q == P[t-1]`` means the line sat at depth
+  exactly ``k`` and the event drops out, everything else survives with
+  ``P`` replaced by the demoted top.  Values from different segments
+  differ mod ``S`` and can never compare equal, so no boundary
+  bookkeeping is needed.  ``cap`` levels (the largest requested ways)
+  over shrinking arrays price the whole associativity range; events
+  still unresolved miss everywhere.
+  The filter yields the accesses each level resolves, so histograms
+  and miss flags both come out of the same loop.
 * :func:`set_local_distances` -- exact, uncapped distances.  ``prev``
   occurrences come from one stable sort on line id, and the distance of
   a warm access at grouped position ``t`` is ``c(t) - prev(t)`` where
@@ -33,19 +37,26 @@ Two vectorized passes live here (no Python loop over accesses):
   computed by top-down merge counting, O(n log^2 n) inside numpy.
 
 Histograms of either answer every ways value in O(1).  Bit-exact with
-:mod:`repro.cache.fastsim` (property-tested).
+the reference simulator, :mod:`repro.cache.simulator` (property-tested).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.cache.distance import COLD
+__all__ = [
+    "COLD",
+    "GridCounts",
+    "grid_miss_counts",
+    "lru_miss_vector",
+    "set_local_distances",
+]
 
-__all__ = ["COLD", "GridCounts", "grid_miss_counts", "set_local_distances"]
+#: Stack distance reported for a line's first touch (a compulsory miss).
+COLD = -1
 
 
 @dataclass(frozen=True)
@@ -128,8 +139,8 @@ def set_local_distances(line_ids: np.ndarray, num_sets: int) -> np.ndarray:
 
     ``COLD`` marks first touches.  An access with distance ``d`` hits
     every ``num_sets``-set LRU cache with at least ``d`` ways;
-    ``num_sets = 1`` degenerates to
-    :func:`repro.cache.distance.stack_distances`.
+    ``num_sets = 1`` gives the classic fully-associative stack distance
+    (:func:`repro.cache.distance.stack_distances`).
     """
     if num_sets < 1:
         raise ValueError("num_sets must be positive")
@@ -160,51 +171,66 @@ def set_local_distances(line_ids: np.ndarray, num_sets: int) -> np.ndarray:
     return out
 
 
-def _capped_hit_histograms(
-    line_ids: np.ndarray,
-    read_mask: np.ndarray,
-    num_sets: int,
-    cap: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hits at each exact stack depth ``1..cap``, total and read-only.
+def _stack_filter(
+    line_ids: np.ndarray, num_sets: int, cap: int, payload: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(depth, payload of the accesses hitting at that depth)``.
 
-    The stack filter: group by set, then per level shift-and-compare.
-    Every event pushes its ``P`` (own line at the base level, the
-    demoted top afterwards), so the top seen by event ``t`` is
-    ``P[t-1]``; a match resolves the event at depth ``k``, everything
-    else survives to the next level carrying the demoted top.  Pushes
-    that cross a segment boundary (or the ``-1`` start sentinel) differ
-    mod ``num_sets`` from every query in the segment, so they behave as
-    an empty stack and simply produce the misses they should.
+    ``payload`` carries one value per access (read flags, positions);
+    accesses never yielded are cold or deeper than ``cap``.  The stack
+    filter: group by set, then per level shift-and-compare.  Every event
+    pushes its ``P`` (own line at the base level, the demoted top
+    afterwards), so the top seen by event ``t`` is ``P[t-1]``; a match
+    resolves the event at depth ``k``, everything else survives to the
+    next level carrying the demoted top.  Pushes that cross a segment
+    boundary (or the ``-1`` start sentinel) differ mod ``num_sets`` from
+    every query in the segment, so they behave as an empty stack and
+    simply produce the misses they should.
     """
-    hits_all = np.zeros(cap + 1, dtype=np.int64)
-    hits_read = np.zeros(cap + 1, dtype=np.int64)
     if num_sets == 1:
         queries = line_ids
-        reads = read_mask
     else:
         order = np.argsort(line_ids % num_sets, kind="stable")
         queries = line_ids[order]
-        reads = read_mask[order]
+        payload = payload[order]
     pushes = queries
     for depth in range(1, cap + 1):
         if queries.size == 0:
-            break
+            return
         top = np.empty_like(pushes)
         top[0] = -1
         top[1:] = pushes[:-1]
         hit = queries == top
-        resolved = int(hit.sum())
-        if resolved:
-            hits_all[depth] = resolved
-            hits_read[depth] = int((hit & reads).sum())
+        if depth == cap:  # the last level: no survivors to carry on
+            yield depth, payload[hit]
+        elif hit.any():
+            yield depth, payload[hit]
             survive = ~hit
             queries = queries[survive]
             pushes = top[survive]
-            reads = reads[survive]
+            payload = payload[survive]
         else:
             pushes = top
-    return hits_all, hits_read
+
+
+def lru_miss_vector(
+    line_ids: np.ndarray, num_sets: int, ways: int
+) -> np.ndarray:
+    """Per-access miss flags of a ``num_sets`` x ``ways`` LRU cache.
+
+    ``line_ids`` is the global line-number stream
+    (:meth:`repro.cache.trace.MemoryTrace.line_ids`); the stack filter
+    runs ``ways`` levels deep, so the cost grows with the associativity
+    asked for, not with the trace's reuse distances.
+    """
+    if num_sets <= 0 or ways <= 0:
+        raise ValueError("geometry parameters must be positive")
+    line_ids = np.asarray(line_ids, dtype=np.int64)
+    miss = np.ones(line_ids.size, dtype=bool)
+    positions = np.arange(line_ids.size)
+    for _, hits in _stack_filter(line_ids, num_sets, ways, positions):
+        miss[hits] = False
+    return miss
 
 
 def grid_miss_counts(
@@ -240,9 +266,13 @@ def grid_miss_counts(
                 results[(num_sets, ways)] = GridCounts(0, 0, 0, 0)
             continue
         cap = ways_list[-1]
-        hits_all, hits_read = _capped_hit_histograms(
-            line_ids, read_mask, num_sets, cap
-        )
+        hits_all = np.zeros(cap + 1, dtype=np.int64)
+        hits_read = np.zeros(cap + 1, dtype=np.int64)
+        for depth, hit_reads in _stack_filter(
+            line_ids, num_sets, cap, read_mask
+        ):
+            hits_all[depth] = hit_reads.size
+            hits_read[depth] = np.count_nonzero(hit_reads)
         cum_all = np.cumsum(hits_all)
         cum_read = np.cumsum(hits_read)
         for ways in ways_list:

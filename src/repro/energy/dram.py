@@ -105,7 +105,7 @@ def miss_stream_energy(
 ) -> DramStats:
     """Price the main-memory side of a cache's miss stream.
 
-    Simulates the cache (LRU fast path), extracts the missing accesses'
+    Simulates the cache (the LRU engine), extracts the missing accesses'
     addresses in order, and replays them against the DRAM model -- the
     off-chip energy a real system would pay for this trace and geometry.
     The miss vector is memoised in the engine's process-wide

@@ -5,12 +5,13 @@ often the cache misses -- but there are four ways to obtain it, trading
 accuracy for speed:
 
 ``fastsim``
-    The vectorized LRU fast path (:mod:`repro.cache.fastsim`); exact, the
-    default.
+    One simulation per configuration through the LRU engine's per-access
+    miss vector (:func:`repro.cache.stackdist.lru_miss_vector`); exact,
+    and what library callers get when they name no backend.
 ``reference``
     The object-oriented Dinero-style simulator
-    (:mod:`repro.cache.simulator`); exact, slow, the ground truth the fast
-    path is validated against.
+    (:mod:`repro.cache.simulator`); exact, slow, the ground truth the
+    engine is validated against.
 ``sampled``
     Set sampling (:mod:`repro.cache.sampling`): simulate every ``k``-th set
     and scale, the classic trick for industrial-size traces.
@@ -18,15 +19,17 @@ accuracy for speed:
     The paper's own closed-form model (:mod:`repro.core.analytic`);
     simulation-free, only defined for loop-nest kernels.
 ``onepass``
-    The Mattson-style stack filter (:mod:`repro.cache.stackdist`): one
+    The same engine's grid pass
+    (:func:`repro.cache.stackdist.grid_miss_counts`): one
     vectorized trace pass per distinct set count prices *every*
     associativity at once, so a whole (sets, ways) grid costs a handful
     of passes instead of one simulation per point.  Exact (bit-identical
-    to ``fastsim``, property-tested) and the fast cold path for sweeps.
+    to ``reference``, property-tested) and the fast cold path for sweeps.
 ``auto``
-    An alias for ``onepass``: what ``explore`` and ``serve`` use unless
-    a backend is named explicitly.  It resolves at construction time, so
-    fingerprints, checkpoints and store rows always record ``onepass``.
+    An alias for ``onepass`` and the default of the CLI's ``--backend``
+    (``explore``, ``submit`` and the other sweep commands).  It resolves
+    at construction time, so fingerprints, checkpoints and store rows
+    always record ``onepass``.
 
 Backends are selected by name through :func:`get_backend`, which resolves
 through the :mod:`repro.registry` plugin registry -- the built-ins above
@@ -42,10 +45,9 @@ from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cache.fastsim import fast_miss_vector
 from repro.cache.sampling import sampled_miss_rate
 from repro.cache.simulator import CacheGeometry, CacheSimulator
-from repro.cache.stackdist import grid_miss_counts
+from repro.cache.stackdist import grid_miss_counts, lru_miss_vector
 from repro.cache.trace import MemoryTrace
 from repro.engine.cache import EvalCache, get_eval_cache
 from repro.obs.metrics import get_metrics
@@ -158,7 +160,7 @@ class Backend:
 
 
 class FastSimBackend(Backend):
-    """Exact vectorized LRU measurement (the default)."""
+    """Exact per-configuration LRU measurement through the stack filter."""
 
     name = "fastsim"
     provides_vector = True
@@ -168,15 +170,15 @@ class FastSimBackend(Backend):
     ) -> np.ndarray:
         _count_simulation(self.name, trace)
         line_ids = trace.line_ids(config.line_size)
-        return fast_miss_vector(line_ids, config.num_sets, config.ways)
+        return lru_miss_vector(line_ids, config.num_sets, config.ways)
 
 
 class ReferenceBackend(Backend):
     """Exact measurement through the object-oriented reference simulator.
 
     Slow (one Python-level call per access) but the ground truth; the
-    cross-backend equivalence tests assert it matches ``fastsim`` bit for
-    bit under LRU.
+    cross-backend equivalence tests assert ``fastsim`` and ``onepass``
+    match it bit for bit under LRU.
     """
 
     name = "reference"
@@ -241,7 +243,7 @@ class SampledBackend(Backend):
         mask = (line_ids % num_sets) % stride == self.offset % stride
         sampled_reads = mask & read_mask
         if int(sampled_reads.sum()):
-            miss = fast_miss_vector(line_ids[mask], num_sets, config.ways)
+            miss = lru_miss_vector(line_ids[mask], num_sets, config.ways)
             read_sub = read_mask[mask]
             read_miss_rate = float(miss[read_sub].mean())
         else:
@@ -406,6 +408,6 @@ def cached_miss_vector(
     )
     def _build() -> np.ndarray:
         _count_simulation(FastSimBackend.name, trace)
-        return fast_miss_vector(trace.line_ids(line_size), num_sets, ways)
+        return lru_miss_vector(trace.line_ids(line_size), num_sets, ways)
 
     return store.miss(key, _build)

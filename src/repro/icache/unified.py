@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.fastsim import fast_hit_miss_counts
+from repro.cache.stackdist import lru_miss_vector
 from repro.cache.trace import MemoryTrace
 from repro.core.config import powers_of_two
 from repro.kernels.base import Kernel
@@ -87,6 +87,11 @@ class SplitComparison:
         return "split" if self.split_misses <= self.unified_misses else "unified"
 
 
+def _misses(line_ids: np.ndarray, num_lines: int) -> int:
+    """Misses of a direct-mapped cache of ``num_lines`` lines."""
+    return int(lru_miss_vector(line_ids, num_lines, 1).sum())
+
+
 def split_vs_unified(
     kernel: Kernel,
     budget: int,
@@ -113,13 +118,13 @@ def split_vs_unified(
         if d_size < line_size or (i_size, d_size) in seen:
             continue
         seen.add((i_size, d_size))
-        _, i_misses = fast_hit_miss_counts(i_lines, i_size // line_size, 1)
-        _, d_misses = fast_hit_miss_counts(d_lines, d_size // line_size, 1)
+        i_misses = _misses(i_lines, i_size // line_size)
+        d_misses = _misses(d_lines, d_size // line_size)
         total = i_misses + d_misses
         if best is None or total < best[0]:
             best = (total, i_size, d_size)
     assert best is not None
-    _, unified_misses = fast_hit_miss_counts(line_ids, budget // line_size, 1)
+    unified_misses = _misses(line_ids, budget // line_size)
     return SplitComparison(
         budget=budget,
         line_size=line_size,

@@ -263,15 +263,20 @@ def _verified_conflict_free(
     fully-associative LRU outright -- the indexed placement protects lines
     LRU would evict -- so equality is not required.)
     """
-    from repro.cache.fastsim import fast_hit_miss_counts
+    from repro.cache.stackdist import grid_miss_counts
     from repro.loops.trace_gen import generate_trace
+    from repro.obs.metrics import get_metrics
 
     trace = generate_trace(nest, layout=layout)
-    line_ids = trace.line_ids(line_size)
     num_lines = cache_size // line_size
-    _, direct_mapped = fast_hit_miss_counts(line_ids, num_lines, 1)
-    _, fully_assoc = fast_hit_miss_counts(line_ids, 1, num_lines)
-    return direct_mapped <= fully_assoc
+    direct_mapped, fully_assoc = (num_lines, 1), (1, num_lines)
+    counts = grid_miss_counts(
+        trace.line_ids(line_size), trace.is_write, [direct_mapped, fully_assoc]
+    )
+    metrics = get_metrics()
+    metrics.counter("layout.verify.simulations").inc()
+    metrics.counter("layout.verify.addresses_simulated").inc(len(trace))
+    return counts[direct_mapped].misses <= counts[fully_assoc].misses
 
 
 def _place(

@@ -10,8 +10,8 @@ from repro.cache.distance import (
     reuse_profile,
     stack_distances,
 )
-from repro.cache.fastsim import fast_hit_miss_counts
 from repro.cache.trace import MemoryTrace
+from tests.lru_oracle import reference_misses
 
 
 class TestStackDistances:
@@ -52,7 +52,7 @@ class TestMissRatioCurve:
         line_ids = trace.line_ids(8)
         curve = miss_ratio_curve(trace, 8, [1, 2, 4, 8, 16])
         for capacity in (1, 2, 4, 8, 16):
-            _, misses = fast_hit_miss_counts(line_ids, 1, capacity)
+            misses = reference_misses(line_ids, 1, capacity)
             assert curve[capacity] == pytest.approx(misses / len(trace))
 
     def test_validation(self):
@@ -69,7 +69,7 @@ class TestMissRatioCurve:
         line_ids = trace.line_ids(8)
         curve = miss_ratio_curve(trace, 8, [1, 4, 16])
         for capacity in (1, 4, 16):
-            _, misses = fast_hit_miss_counts(line_ids, 1, capacity)
+            misses = reference_misses(line_ids, 1, capacity)
             assert curve[capacity] == pytest.approx(misses / len(trace))
 
 

@@ -1,34 +1,35 @@
-"""The vectorized fast path must be bit-exact with the reference simulator."""
+"""The LRU engine's per-access miss vector must be bit-exact with the
+reference simulator.
+
+:func:`repro.cache.stackdist.lru_miss_vector` is what the ``fastsim``
+backend, set sampling and the split/unified I-cache study measure with;
+:class:`~repro.cache.simulator.CacheSimulator` is the independent oracle.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.fastsim import fast_hit_miss_counts, fast_miss_vector
-from repro.cache.simulator import CacheGeometry, CacheSimulator
-from repro.cache.trace import MemoryTrace
+from repro.cache.stackdist import lru_miss_vector
+from tests.lru_oracle import reference_miss_vector
 
 
-def reference_miss_vector(line_ids, num_sets, ways):
-    """Miss flags from the object-oriented simulator."""
-    line_size = 1  # feed line ids directly as byte addresses
-    geo = CacheGeometry(num_sets * ways * line_size, line_size, ways)
-    sim = CacheSimulator(geo)
-    return np.array([not sim.access(int(line)) for line in line_ids])
+def misses(line_ids, num_sets, ways):
+    return int(lru_miss_vector(line_ids, num_sets, ways).sum())
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("ways", [1, 2, 4, 8])
     def test_strided_pattern(self, ways):
         line_ids = np.arange(0, 400, 7) % 64
-        fast = fast_miss_vector(line_ids, num_sets=8, ways=ways)
+        fast = lru_miss_vector(line_ids, num_sets=8, ways=ways)
         ref = reference_miss_vector(line_ids, 8, ways)
         assert np.array_equal(fast, ref)
 
     @pytest.mark.parametrize("num_sets,ways", [(1, 1), (1, 4), (16, 1), (4, 2)])
     def test_repeating_pattern(self, num_sets, ways):
         line_ids = np.tile(np.array([0, 5, 9, 0, 5, 13, 9]), 20)
-        fast = fast_miss_vector(line_ids, num_sets, ways)
+        fast = lru_miss_vector(line_ids, num_sets, ways)
         ref = reference_miss_vector(line_ids, num_sets, ways)
         assert np.array_equal(fast, ref)
 
@@ -41,35 +42,47 @@ class TestAgainstReference:
     def test_random_traces_match(self, lines, sets_log, ways_log):
         line_ids = np.asarray(lines, dtype=np.int64)
         num_sets, ways = 2 ** sets_log, 2 ** ways_log
-        fast = fast_miss_vector(line_ids, num_sets, ways)
+        fast = lru_miss_vector(line_ids, num_sets, ways)
         ref = reference_miss_vector(line_ids, num_sets, ways)
         assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("ways", [16, 64, 256])
+    def test_layout_certificate_scale(self, ways):
+        """One set, many ways: the fully-associative half of the layout
+        certificate.  A working set a quarter larger than the cache puts
+        reuse at every depth, some of it past the last way."""
+        rng = np.random.default_rng(ways)
+        line_ids = rng.integers(0, ways + ways // 4, size=8 * ways)
+        fast = lru_miss_vector(line_ids, 1, ways)
+        ref = reference_miss_vector(line_ids, 1, ways)
+        assert np.array_equal(fast, ref)
+        assert 0 < int(fast.sum()) < line_ids.size
 
 
 class TestBehaviour:
     def test_empty_trace(self):
-        assert fast_miss_vector(np.array([], dtype=np.int64), 4, 1).size == 0
-        assert fast_hit_miss_counts(np.array([], dtype=np.int64), 4, 1) == (0, 0)
+        empty = np.array([], dtype=np.int64)
+        assert lru_miss_vector(empty, 4, 1).size == 0
+        assert misses(empty, 4, 1) == 0
 
     def test_counts(self):
         line_ids = np.array([0, 0, 1, 0])
-        hits, misses = fast_hit_miss_counts(line_ids, 4, 1)
-        assert (hits, misses) == (2, 2)
+        assert misses(line_ids, 4, 1) == 2
 
     def test_first_access_always_misses(self):
         line_ids = np.array([3])
-        assert fast_miss_vector(line_ids, 8, 1).tolist() == [True]
+        assert lru_miss_vector(line_ids, 8, 1).tolist() == [True]
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
-            fast_miss_vector(np.array([0]), 0, 1)
+            lru_miss_vector(np.array([0]), 0, 1)
         with pytest.raises(ValueError):
-            fast_miss_vector(np.array([0]), 4, 0)
+            lru_miss_vector(np.array([0]), 4, 0)
 
     def test_order_restored_after_grouping(self):
         # Interleave two sets; the miss flags must align with input order.
         line_ids = np.array([0, 1, 0, 1, 2, 3])  # sets 0,1,0,1,0,1 (2 sets)
-        miss = fast_miss_vector(line_ids, 2, 1)
+        miss = lru_miss_vector(line_ids, 2, 1)
         assert miss.tolist() == [True, True, False, False, True, True]
 
 
@@ -81,8 +94,8 @@ class TestMonotonicityProperties:
         increase misses."""
         line_ids = np.asarray(lines, dtype=np.int64)
         for ways in (1, 2, 4):
-            _, m_small = fast_hit_miss_counts(line_ids, 4, ways)
-            _, m_big = fast_hit_miss_counts(line_ids, 4, ways * 2)
+            m_small = misses(line_ids, 4, ways)
+            m_big = misses(line_ids, 4, ways * 2)
             assert m_big <= m_small
 
     @given(lines=st.lists(st.integers(0, 30), min_size=1, max_size=150))
@@ -90,7 +103,5 @@ class TestMonotonicityProperties:
     def test_fully_associative_stack_property(self, lines):
         """A larger fully-associative LRU cache never misses more."""
         line_ids = np.asarray(lines, dtype=np.int64)
-        misses = [
-            fast_hit_miss_counts(line_ids, 1, ways)[1] for ways in (1, 2, 4, 8, 16)
-        ]
-        assert misses == sorted(misses, reverse=True)
+        counts = [misses(line_ids, 1, ways) for ways in (1, 2, 4, 8, 16)]
+        assert counts == sorted(counts, reverse=True)

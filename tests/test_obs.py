@@ -239,6 +239,22 @@ class TestEvaluatorInstrumentation:
         simulated = delta["counters"]["backend.fastsim.addresses_simulated"]
         assert simulated == len(evaluator._bundle_for(CacheConfig(128, 16)).trace)
 
+    def test_layout_certificate_counters(self, compress_small):
+        from repro.layout.assignment import assign_offchip_layout
+        from repro.loops.trace_gen import generate_trace
+
+        base = obs.get_metrics().snapshot()
+        result = assign_offchip_layout(compress_small.nest, 128, 16)
+        delta = obs.get_metrics().diff(base)["counters"]
+        assert delta["layout.verify.simulations"] == 1
+        assert delta["layout.verify.addresses_simulated"] == len(
+            generate_trace(compress_small.nest, layout=result.layout)
+        )
+        base = obs.get_metrics().snapshot()
+        assign_offchip_layout(compress_small.nest, 128, 16, verify=False)
+        delta = obs.get_metrics().diff(base)["counters"]
+        assert "layout.verify.simulations" not in delta
+
 
 class TestParallelMergeBack:
     def _configs(self):

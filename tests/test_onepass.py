@@ -2,16 +2,18 @@
 
 The load-bearing claims:
 
-* :func:`repro.cache.stackdist.grid_miss_counts` matches
-  :func:`repro.cache.fastsim.fast_miss_vector` *exactly* -- miss counts
-  and read-miss counts -- for every (sets, ways) point on randomized
-  traces, including non-power-of-two set counts and ways past the
-  working-set size (hypothesis property, the ISSUE's oracle requirement);
-* :func:`repro.cache.stackdist.set_local_distances` degenerates to the
-  classic fully-associative stack distances at one set;
-* :class:`~repro.engine.backends.OnePassBackend` measurements equal
-  ``fastsim`` measurements field for field, through ``measure`` and
-  ``measure_grid`` alike;
+* :func:`repro.cache.stackdist.grid_miss_counts` matches an independent
+  oracle *exactly* -- miss counts and read-miss counts -- for every
+  (sets, ways) point on randomized traces: the reference
+  :class:`~repro.cache.simulator.CacheSimulator` where the geometry is a
+  power of two, the brute-force stack-distance definition for the
+  non-power-of-two set counts and ways past the working-set size;
+* :func:`repro.cache.stackdist.set_local_distances` equals that
+  brute-force definition ("distinct same-set lines since the previous
+  access to the line") at every set count;
+* :class:`~repro.engine.backends.OnePassBackend` measurements equal the
+  ``reference`` and ``fastsim`` measurements field for field, through
+  ``measure`` and ``measure_grid`` alike;
 * grouped evaluation (``evaluate_batch``, the serial sweep fast path,
   ``ParallelSweep`` chunks) produces sweep tables byte-identical to
   per-config evaluation, including through checkpoint/resume journals
@@ -24,9 +26,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.distance import COLD, stack_distances
-from repro.cache.fastsim import fast_miss_vector
 from repro.cache.stackdist import (
+    COLD,
     GridCounts,
     grid_miss_counts,
     set_local_distances,
@@ -42,9 +43,14 @@ from repro.engine import (
     TraceWorkload,
     get_backend,
 )
-from repro.engine.backends import FastSimBackend, OnePassBackend
+from repro.engine.backends import (
+    FastSimBackend,
+    OnePassBackend,
+    ReferenceBackend,
+)
 from repro.kernels import get_kernel
 from repro.obs.metrics import get_metrics
+from tests.lru_oracle import reference_miss_vector
 
 
 @st.composite
@@ -64,6 +70,35 @@ def traces(draw, max_len=160):
     return MemoryTrace(addresses, writes)
 
 
+def brute_force_distances(line_ids, num_sets):
+    """Set-local stack distance by definition: the number of distinct
+    lines of the access's set touched since (and including) the previous
+    access to the same line; ``COLD`` when there is none."""
+    lines = [int(line) for line in line_ids]
+    out = []
+    for t, line in enumerate(lines):
+        same_set = [x for x in lines[:t] if x % num_sets == line % num_sets]
+        if line not in same_set:
+            out.append(COLD)
+            continue
+        last = len(same_set) - 1 - same_set[::-1].index(line)
+        out.append(len(set(same_set[last:])))
+    return np.asarray(out, dtype=np.int64)
+
+
+def _is_pow2(value):
+    return value & (value - 1) == 0
+
+
+def oracle_miss_vector(line_ids, num_sets, ways):
+    """LRU miss flags from the reference simulator where it can model
+    the geometry, from the brute-force distances where it cannot."""
+    if _is_pow2(num_sets) and _is_pow2(ways):
+        return reference_miss_vector(line_ids, num_sets, ways)
+    distances = brute_force_distances(line_ids, num_sets)
+    return (distances == COLD) | (distances > ways)
+
+
 # The full grid the equivalence property sweeps: every (sets, ways)
 # combination, including sets the bit-selection hash cannot produce
 # (non-powers of two) and ways past any plausible working set.
@@ -77,15 +112,30 @@ GRID_POINTS = [
 class TestGridMissCounts:
     @given(data=line_traces())
     @settings(max_examples=120, deadline=None)
-    def test_matches_fastsim_everywhere(self, data):
+    def test_matches_reference_everywhere(self, data):
         line_ids, is_write = data
         results = grid_miss_counts(line_ids, is_write, GRID_POINTS)
         assert set(results) == set(GRID_POINTS)
         reads = int((~is_write).sum())
         for (num_sets, ways), counts in results.items():
-            miss = fast_miss_vector(line_ids, num_sets, ways)
+            miss = oracle_miss_vector(line_ids, num_sets, ways)
             assert counts.accesses == line_ids.size
             assert counts.reads == reads
+            assert counts.misses == int(miss.sum())
+            assert counts.read_misses == int((miss & ~is_write).sum())
+
+    @pytest.mark.parametrize("num_lines", [16, 64, 256])
+    def test_layout_certificate_points(self, num_lines):
+        """The layout certificate's one call: direct-mapped and fully
+        associative at the same capacity, up to 256 ways."""
+        rng = np.random.default_rng(num_lines)
+        line_ids = rng.integers(0, num_lines + num_lines // 4, 8 * num_lines)
+        is_write = rng.random(line_ids.size) < 0.3
+        points = [(num_lines, 1), (1, num_lines)]
+        results = grid_miss_counts(line_ids, is_write, points)
+        for num_sets, ways in points:
+            miss = reference_miss_vector(line_ids, num_sets, ways)
+            counts = results[(num_sets, ways)]
             assert counts.misses == int(miss.sum())
             assert counts.read_misses == int((miss & ~is_write).sum())
 
@@ -116,7 +166,8 @@ class TestSetLocalDistances:
     def test_one_set_is_classic_stack_distance(self, data):
         line_ids, _ = data
         assert np.array_equal(
-            set_local_distances(line_ids, 1), stack_distances(line_ids)
+            set_local_distances(line_ids, 1),
+            brute_force_distances(line_ids, 1),
         )
 
     @given(data=line_traces(), num_sets=st.sampled_from([1, 2, 3, 4, 8]))
@@ -124,8 +175,11 @@ class TestSetLocalDistances:
     def test_distances_price_every_associativity(self, data, num_sets):
         line_ids, _ = data
         distances = set_local_distances(line_ids, num_sets)
+        assert np.array_equal(
+            distances, brute_force_distances(line_ids, num_sets)
+        )
         for ways in (1, 2, 4, 8):
-            miss = fast_miss_vector(line_ids, num_sets, ways)
+            miss = oracle_miss_vector(line_ids, num_sets, ways)
             derived = (distances == COLD) | (distances > ways)
             assert np.array_equal(miss, derived)
 
@@ -150,16 +204,19 @@ class TestOnePassBackend:
     def test_measure_grid_equals_fastsim(self, trace):
         configs = _grid_configs()
         measured = OnePassBackend().measure_grid(trace, configs)
-        fast = FastSimBackend()
+        fast, reference = FastSimBackend(), ReferenceBackend()
         for config in configs:
-            assert measured[config] == fast.measure(trace, config)
+            expected = reference.measure(trace, config)
+            assert measured[config] == expected
+            assert fast.measure(trace, config) == expected
 
     @given(trace=traces())
     @settings(max_examples=30, deadline=None)
     def test_single_measure_equals_fastsim(self, trace):
         config = CacheConfig(64, 8, 2)
-        assert OnePassBackend().measure(trace, config) == FastSimBackend(
-        ).measure(trace, config)
+        expected = ReferenceBackend().measure(trace, config)
+        assert OnePassBackend().measure(trace, config) == expected
+        assert FastSimBackend().measure(trace, config) == expected
 
     def test_grid_rejects_mixed_line_sizes(self):
         trace = MemoryTrace([0, 8, 16])

@@ -159,14 +159,14 @@ class TestAnalyticProperties:
         """The closed-form model assumes no cross-sweep retention, so it
         upper-bounds the simulated misses of any conflict-free layout."""
         from repro.core.analytic import analytic_misses
-        from repro.cache.fastsim import fast_hit_miss_counts
+        from tests.lru_oracle import reference_misses
 
         line = 4
         result = assign_offchip_layout(nest, 64, line)
         if not result.conflict_free:
             return
         trace = generate_trace(nest, layout=result.layout)
-        _, simulated = fast_hit_miss_counts(trace.line_ids(line), 16, 1)
+        simulated = reference_misses(trace.line_ids(line), 16, 1)
         analytic = analytic_misses(nest, line)
         assert simulated <= analytic + len(list(nest.refs))
 
@@ -193,14 +193,13 @@ class TestSamplingProperties:
     def test_union_of_samples_is_exact(self, nest):
         """Sampling every offset and combining miss counts reproduces the
         exact simulation (set independence, exhaustively)."""
-        import numpy as np
-        from repro.cache.fastsim import fast_hit_miss_counts
         from repro.cache.sampling import sampled_miss_rate
+        from tests.lru_oracle import reference_misses
 
         trace = generate_trace(nest)
         line_ids = trace.line_ids(4)
         num_sets = 8
-        _, exact = fast_hit_miss_counts(line_ids, num_sets, 1)
+        exact = reference_misses(line_ids, num_sets, 1)
         stride = 4
         total_sampled_misses = 0
         for offset in range(stride):

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.fastsim import fast_hit_miss_counts
 from repro.cache.sampling import sampled_miss_rate
 from repro.kernels import make_compress
+from tests.lru_oracle import reference_miss_vector, reference_misses
 
 
 class TestSampling:
     def test_stride_one_is_exact(self):
         rng = np.random.default_rng(11)
         line_ids = rng.integers(0, 128, size=500)
-        exact_hits, exact_misses = fast_hit_miss_counts(line_ids, 16, 1)
+        exact_misses = reference_misses(line_ids, 16, 1)
         est = sampled_miss_rate(line_ids, 16, 1, sample_every=1)
-        assert est.miss_rate == pytest.approx(
-            exact_misses / (exact_hits + exact_misses)
-        )
+        assert est.miss_rate == pytest.approx(exact_misses / line_ids.size)
         assert est.coverage == 1.0
 
     def test_sampled_sets_simulated_exactly(self):
@@ -25,7 +23,7 @@ class TestSampling:
         the full simulation (set independence)."""
         rng = np.random.default_rng(5)
         line_ids = rng.integers(0, 256, size=800)
-        full_miss = fast_miss_vector_by_set(line_ids, 16, 2)
+        full_miss = reference_miss_vector(line_ids, 16, 2)
         est = sampled_miss_rate(line_ids, 16, 2, sample_every=4, offset=1)
         mask = (line_ids % 16) % 4 == 1
         expected = full_miss[mask].mean()
@@ -35,7 +33,7 @@ class TestSampling:
         trace = make_compress().trace()
         line_ids = trace.line_ids(8).to_numpy() if hasattr(
             trace.line_ids(8), "to_numpy") else trace.line_ids(8)
-        _, exact_misses = fast_hit_miss_counts(line_ids, 16, 1)
+        exact_misses = reference_misses(line_ids, 16, 1)
         exact = exact_misses / line_ids.size
         for offset in range(4):
             est = sampled_miss_rate(line_ids, 16, 1, sample_every=4,
@@ -74,9 +72,3 @@ class TestSampling:
             for k in range(stride)
         ]
         assert sum(p.sampled_accesses for p in parts) == line_ids.size
-
-
-def fast_miss_vector_by_set(line_ids, num_sets, ways):
-    from repro.cache.fastsim import fast_miss_vector
-
-    return fast_miss_vector(np.asarray(line_ids, dtype=np.int64), num_sets, ways)

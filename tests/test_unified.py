@@ -5,6 +5,7 @@ import pytest
 
 from repro.icache.unified import merged_trace, split_vs_unified
 from repro.kernels import make_compress, make_matadd
+from tests.lru_oracle import reference_misses
 
 
 class TestMergedTrace:
@@ -70,6 +71,17 @@ class TestSplitVsUnified:
             for budget in (64, 128, 256, 512)
         }
         assert winners == {"split", "unified"}
+
+    def test_miss_counts_match_reference_simulator(self):
+        kernel = make_matadd()
+        result = split_vs_unified(kernel, 128, line_size=8)
+        trace, is_fetch = merged_trace(kernel)
+        line_ids = trace.line_ids(8)
+        split = reference_misses(
+            line_ids[is_fetch], result.best_icache // 8, 1
+        ) + reference_misses(line_ids[~is_fetch], result.best_dcache // 8, 1)
+        assert result.split_misses == split
+        assert result.unified_misses == reference_misses(line_ids, 16, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
