@@ -19,14 +19,14 @@ Subcommands mirror the paper's workflow:
 ``trace``
     Export a kernel's address trace in Dinero ``din`` format, or report
     its reuse profile and miss-ratio curve.
-``search``
-    Pruned (greedy) exploration instead of the exhaustive sweep.
 ``pareto``
-    Multi-objective Pareto search (``repro.moo``): a population-based
-    searcher (NSGA-II by default) finds the energy/time/area front
-    touching a fraction of the grid, printing one front line per
-    generation; ``--server`` submits the same search to a running
-    service (``POST /pareto``) and streams its ``repro.front/1`` events.
+    Search instead of the exhaustive sweep (``repro.moo``): a
+    population-based searcher (NSGA-II by default) finds the
+    energy/time/area front touching a fraction of the grid, printing one
+    front line per generation; ``--searcher greedy|pruned`` runs the
+    classic single-objective heuristics through the same driver.
+    ``--server`` submits the same search to a running service
+    (``POST /pareto``) and streams its ``repro.front/1`` events.
 ``datasheet``
     Full per-configuration report: metrics, miss structure, area, timing
     and the energy component breakdown.
@@ -78,7 +78,7 @@ table) and ``--metrics-out FILE.json`` (write the machine-readable
 ``mpeg``, ``spm``, ``stats``) also take the resilience flags
 ``--checkpoint FILE.jsonl`` / ``--resume`` / ``--chunk-timeout`` /
 ``--max-retries`` for fault-tolerant, resumable sweeps, and (with
-``search``) ``--manifest-out FILE.json`` to write the run's
+``pareto``) ``--manifest-out FILE.json`` to write the run's
 ``repro.manifest/1`` provenance document.
 """
 
@@ -494,27 +494,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print("\nfully-associative miss-ratio curve:")
     for capacity in capacities:
         print(f"  {capacity:>4d} lines: {curve[capacity]:.4f}")
-    return 0
-
-
-def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.moo.heuristics import greedy_descent
-
-    kernel = _resolve_kernel(args.kernel)
-    explorer = MemExplorer(
-        kernel,
-        energy_model=_energy_model(args),
-        optimize_layout=not args.no_layout_opt,
-        backend=args.backend,
-    )
-    outcome = greedy_descent(
-        explorer.evaluator,
-        objective=args.objective,
-        sizes=tuple(powers_of_two(args.min_size, args.max_size)),
-    )
-    _write_manifest(args, [args.kernel], evaluator=explorer.evaluator)
-    print(f"best ({args.objective}): {outcome.best}")
-    print(f"evaluations spent: {outcome.evaluations}")
     return 0
 
 
@@ -1131,18 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(trace)
     trace.set_defaults(func=_cmd_trace)
 
-    search = sub.add_parser("search", help="greedy pruned exploration")
-    search.add_argument("kernel")
-    search.add_argument("--objective", choices=["energy", "cycles"],
-                        default="energy")
-    search.add_argument("--max-size", type=int, default=1024)
-    search.add_argument("--min-size", type=int, default=16)
-    _add_energy_args(search)
-    _add_engine_args(search)
-    _add_manifest_args(search)
-    _add_obs_args(search)
-    search.set_defaults(func=_cmd_search)
-
     pareto = sub.add_parser(
         "pareto",
         help="multi-objective Pareto search (local, or POST /pareto with "
@@ -1176,12 +1143,12 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--tilings", type=int, nargs="+", default=None)
     pareto.add_argument(
         "--checkpoint", metavar="FILE.jsonl", default=None,
-        help="journal completed generations to this append-only file "
-             "(local runs)",
+        help="journal each generation's evaluations to this append-only "
+             "repro.checkpoint/1 file (local runs)",
     )
     pareto.add_argument(
         "--resume", action="store_true",
-        help="replay generations already journaled in --checkpoint",
+        help="replay evaluations already journaled in --checkpoint",
     )
     pareto.add_argument(
         "--server", default=None, metavar="URL",

@@ -25,7 +25,6 @@ from repro.core.selection import Selection, SelectionError, select_configuration
 from repro.core.pareto import dominated_by_any, pareto_front, tradeoff_range
 from repro.core.composite import CompositeProgram, KernelContribution
 from repro.core.report import ConfigDatasheet, datasheet, render_datasheet
-from repro.core.search import SearchOutcome, greedy_descent, pruned_min_energy
 from repro.core.sensitivity import SensitivityRow, tornado
 from repro.core.serialize import (
     load_results_csv,
@@ -45,7 +44,6 @@ __all__ = [
     "KernelContribution",
     "MemExplorer",
     "PerformanceEstimate",
-    "SearchOutcome",
     "Selection",
     "SelectionError",
     "SensitivityRow",
@@ -59,9 +57,7 @@ __all__ = [
     "evaluate_trace",
     "load_results_csv",
     "load_results_json",
-    "greedy_descent",
     "pareto_front",
-    "pruned_min_energy",
     "render_datasheet",
     "powers_of_two",
     "processor_cycles",

@@ -22,8 +22,7 @@ associativity sweep, across explorer instances and across layers.
 from __future__ import annotations
 
 import logging
-import warnings
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.cache.trace import MemoryTrace
 from repro.core.config import CacheConfig
@@ -125,17 +124,6 @@ class MemExplorer:
     def backend(self) -> Backend:
         """The miss-measurement backend in use."""
         return self.evaluator.backend
-
-    def _trace_for(self, config: CacheConfig) -> Tuple[MemoryTrace, bool]:
-        """Deprecated: the engine's :class:`EvalCache` memoises traces now."""
-        warnings.warn(
-            "MemExplorer._trace_for is deprecated; traces are managed by "
-            "repro.engine (KernelWorkload.trace_for + EvalCache)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        bundle = self.evaluator._bundle_for(config)
-        return bundle.trace, bundle.conflict_free
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """Estimate miss rate, cycles and energy for one configuration."""

@@ -486,7 +486,12 @@ def sweep_fingerprint(
 
 
 class SweepCheckpoint:
-    """Append-only JSONL journal of completed sweep chunks.
+    """Append-only JSONL journal of completed chunks.
+
+    Sweeps journal one record per evaluated chunk; a
+    :func:`~repro.moo.driver.run_search` search journals one record per
+    generation's cold evaluations (under its own fingerprint).  Either
+    way the journal is a pure ``index -> estimate`` evaluation cache.
 
     Lifecycle: :meth:`load` (on resume) returns everything already
     evaluated, then :meth:`open_for_append` positions the journal for
@@ -494,28 +499,32 @@ class SweepCheckpoint:
     appends one flushed, fsynced line per completed chunk.  Records are
     whole chunks, so a kill between writes loses at most the in-flight
     chunks -- never corrupts committed ones -- and a torn trailing line is
-    skipped on load with a warning.
+    skipped on load with a warning (and cut off before the next append).
     """
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self._handle: Optional[Any] = None
+        #: Byte length of the header plus every record :meth:`load`
+        #: accepted; ``None`` until the file has been read.
+        self._intact: Optional[int] = None
 
     def load(
-        self, fingerprint: str
+        self, fingerprint: Optional[str]
     ) -> Dict[int, PerformanceEstimate]:
-        """Completed ``index -> estimate`` pairs journaled for this sweep.
+        """Completed ``index -> estimate`` pairs journaled for this run.
 
         A missing file is an empty resume (first run).  A journal whose
         header names a different fingerprint raises
-        :class:`CheckpointMismatchError`; a file that is not a checkpoint
-        at all raises :class:`CheckpointError`.
+        :class:`CheckpointMismatchError` (``fingerprint=None`` accepts
+        whichever the header names); a file that is not a checkpoint at
+        all raises :class:`CheckpointError`.
         """
+        self._intact = 0
         if not os.path.exists(self.path):
             return {}
-        done: Dict[int, PerformanceEstimate] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(self.path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
         if not lines:
             return {}
         try:
@@ -525,14 +534,24 @@ class SweepCheckpoint:
                 f"{self.path} is not a {CHECKPOINT_SCHEMA} journal"
             ) from exc
         _check_journal_schema(header, self.path)
+        if fingerprint is None:
+            fingerprint = header.get("fingerprint")
+            if not isinstance(fingerprint, str):
+                raise CheckpointError(
+                    f"{self.path} has no fingerprint in its header"
+                )
         if header.get("fingerprint") != fingerprint:
             raise CheckpointMismatchError(
                 f"checkpoint {self.path} was written by a different sweep "
-                "(workload, backend or configuration list changed); "
-                "delete it or drop --resume to start over"
+                "or search (workload, backend, configuration list or "
+                "search settings changed); delete it or drop --resume to "
+                "start over"
             )
+        done: Dict[int, PerformanceEstimate] = {}
+        intact = len(lines[0])
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
+                intact += len(line)
                 continue
             try:
                 record = json.loads(line)
@@ -543,7 +562,7 @@ class SweepCheckpoint:
                 ]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 # The signature of a kill mid-write: everything after the
-                # tear is unusable, so stop (the sweep re-evaluates it).
+                # tear is unusable, so stop (the run re-evaluates it).
                 logger.warning(
                     "checkpoint %s: ignoring torn record at line %d "
                     "(and everything after it)",
@@ -553,17 +572,24 @@ class SweepCheckpoint:
                 break
             for index, estimate in parsed:
                 done[index] = estimate
+            intact += len(line)
+        self._intact = intact
         return done
 
     def open_for_append(self, fingerprint: str, fresh: bool, configs: int) -> None:
         """Start journaling: truncate + header when ``fresh``, else append.
 
         On a resumed run with no existing file the header is written too,
-        so ``--resume`` is safe to pass on the very first attempt.
+        so ``--resume`` is safe to pass on the very first attempt.  A
+        resumed journal is first cut back to the end of its last intact
+        record: a chunk appended after a torn line would be unreadable.
         """
-        mode = "w" if fresh or not os.path.exists(self.path) else "a"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
+        if not fresh and self._intact is None:
+            self.load(fingerprint)
+        if fresh or not self._intact:
+            directory = os.path.dirname(os.path.abspath(self.path))
+            os.makedirs(directory, exist_ok=True)
+            self._handle = open(self.path, "w", encoding="utf-8")
             self._write_line(
                 {
                     "schema": CHECKPOINT_SCHEMA,
@@ -571,6 +597,14 @@ class SweepCheckpoint:
                     "configs": configs,
                 }
             )
+        else:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(self._intact)
+                handle.seek(self._intact - 1)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._intact = None
 
     def record_chunk(
         self, pairs: Sequence[Tuple[int, PerformanceEstimate]]
@@ -606,25 +640,10 @@ class SweepCheckpoint:
 
 
 def load_checkpoint_estimates(path: str) -> List[PerformanceEstimate]:
-    """All estimates journaled at ``path``, in sweep order (no fingerprint
-    check -- inspection/tooling use; sweeps go through :meth:`SweepCheckpoint.load`).
+    """All estimates journaled at ``path``, in index order (no fingerprint
+    check -- inspection/tooling use; runs go through :meth:`SweepCheckpoint.load`).
     """
-    checkpoint = SweepCheckpoint(path)
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint at {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_SCHEMA} journal"
-        ) from exc
-    _check_journal_schema(header, path)
-    fingerprint = header.get("fingerprint")
-    if not isinstance(fingerprint, str):
-        raise CheckpointError(
-            f"{path} has no sweep fingerprint in its header"
-        )
-    done = checkpoint.load(fingerprint)
+    done = SweepCheckpoint(path).load(None)
     return [done[index] for index in sorted(done)]

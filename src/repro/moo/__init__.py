@@ -9,7 +9,7 @@ pieces:
   plus :class:`NSGA2Searcher` and :class:`GrammaticalEvolutionSearcher`,
   registered under the ``searcher`` registry kind;
 * :mod:`repro.moo.heuristics` -- the classic greedy-descent and pruned
-  sweep strategies, migrated from ``repro.core.search``;
+  sweep strategies (functional entry points and searcher adapters);
 * :mod:`repro.moo.grammar` -- the integer-genome -> configuration
   grammar evolutionary searchers breed over;
 * :mod:`repro.moo.archive` -- the bounded elitist
@@ -39,8 +39,6 @@ Quickstart::
 
 from repro.moo.archive import FRONT_SCHEMA, FrontArchive, crowding_distances
 from repro.moo.driver import (
-    MOO_CHECKPOINT_SCHEMA,
-    SearchCheckpoint,
     SearchRun,
     SearchSettings,
     run_search,
@@ -59,7 +57,6 @@ from repro.moo.seeding import analytic_seeds
 
 __all__ = [
     "FRONT_SCHEMA",
-    "MOO_CHECKPOINT_SCHEMA",
     "OBJECTIVES",
     "ConfigGrammar",
     "FrontArchive",
@@ -67,7 +64,6 @@ __all__ = [
     "GreedyDescentSearcher",
     "NSGA2Searcher",
     "PrunedSweepSearcher",
-    "SearchCheckpoint",
     "SearchRun",
     "SearchSettings",
     "Searcher",

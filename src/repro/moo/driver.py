@@ -12,10 +12,13 @@ tells the searcher its fitness vectors.
 Determinism is the core contract: for a fixed seed the sequence of asked
 configurations, the archive contents and the per-generation events are
 identical under ``jobs=1`` and ``jobs=N``, on a clean run and on a resume
-from the ``repro.moo.checkpoint/1`` journal -- the journal is a pure
-evaluation cache, and "evaluations used" counts unique configurations
-*requested*, not cold simulator calls, so resumed and clean runs report
-the same numbers.
+from the journal.  The journal is the sweeps' ``repro.checkpoint/1``
+:class:`~repro.engine.resilience.SweepCheckpoint` under a
+:func:`search_fingerprint`: one ``chunk`` record per generation holds
+its cold estimates keyed by index into the canonical ordered space, so
+it is a pure evaluation cache.  "Evaluations used" counts unique
+configurations *requested*, not cold simulator calls, so resumed and
+clean runs report the same numbers.
 
 Cancellation follows the sweep convention: a set ``cancel_event`` raises
 :class:`~repro.engine.resilience.SweepCancelledError` between generations
@@ -28,20 +31,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
 from repro.engine.resilience import (
-    CheckpointError,
-    CheckpointMismatchError,
     ResilienceOptions,
     SweepCancelledError,
-    estimate_from_json,
-    estimate_to_json,
+    SweepCheckpoint,
     sweep_fingerprint,
 )
 from repro.engine.result import ExplorationResult
@@ -53,8 +52,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.spans import span
 
 __all__ = [
-    "MOO_CHECKPOINT_SCHEMA",
-    "SearchCheckpoint",
     "SearchRun",
     "SearchSettings",
     "run_search",
@@ -62,8 +59,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-MOO_CHECKPOINT_SCHEMA = "repro.moo.checkpoint/1"
 
 
 def _config_key(config: CacheConfig) -> Tuple[int, int, int, int]:
@@ -90,6 +85,12 @@ class SearchSettings:
     def __post_init__(self) -> None:
         if not self.searcher or not isinstance(self.searcher, str):
             raise ValueError("searcher must be a non-empty name")
+        for name in ("generations", "population", "seed", "archive_capacity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.seed_population, bool):
+            raise ValueError("seed_population must be true or false")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
         if self.population < 1:
@@ -98,6 +99,11 @@ class SearchSettings:
             raise ValueError("archive capacity must be at least 4")
         object.__setattr__(self, "objectives", validate_objectives(self.objectives))
         if self.reference is not None:
+            if not isinstance(self.reference, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float))
+                for v in self.reference
+            ):
+                raise ValueError("reference must be a list of numbers")
             reference = tuple(float(v) for v in self.reference)
             if len(reference) != len(self.objectives):
                 raise ValueError(
@@ -130,29 +136,10 @@ class SearchSettings:
     def from_json(cls, doc: Dict[str, Any]) -> "SearchSettings":
         if not isinstance(doc, dict):
             raise ValueError("search section must be an object")
-        known = {
-            "searcher",
-            "generations",
-            "population",
-            "seed",
-            "objectives",
-            "archive_capacity",
-            "reference",
-            "seed_population",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown search fields: {sorted(unknown)}")
-        kwargs: Dict[str, Any] = {}
-        for key in known:
-            if key in doc:
-                value = doc[key]
-                if key == "objectives":
-                    value = tuple(value)
-                elif key == "reference" and value is not None:
-                    value = tuple(value)
-                kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**doc)
 
     def canonical(self) -> str:
         """Canonical JSON (sorted keys) -- the fingerprint input."""
@@ -168,122 +155,6 @@ def search_fingerprint(
     digest.update(b"|")
     digest.update(settings.canonical().encode())
     return digest.hexdigest()
-
-
-class SearchCheckpoint:
-    """Append-only JSONL journal of completed search generations.
-
-    Schema (``repro.moo.checkpoint/1``), one JSON object per line::
-
-        {"schema": ..., "fingerprint": "<sha256>", "budget": N}
-        {"generation": 0, "estimates": [{estimate...}, ...]}
-
-    Each generation record holds the estimates *newly evaluated* that
-    generation; on resume their union is a pure evaluation cache and the
-    deterministic searcher replays journaled generations without touching
-    a backend.  Records must be contiguous from generation 0; a torn or
-    out-of-order trailing record (a kill mid-write) is dropped along with
-    everything after it, exactly like sweep checkpoints.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._handle: Optional[Any] = None
-
-    def load(
-        self, fingerprint: str
-    ) -> List[List[PerformanceEstimate]]:
-        """The contiguous complete generation records journaled so far."""
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            return []
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"{self.path} is not a {MOO_CHECKPOINT_SCHEMA} journal"
-            ) from exc
-        if not isinstance(header, dict) or header.get("schema") != MOO_CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"{self.path} is not a {MOO_CHECKPOINT_SCHEMA} journal"
-            )
-        if header.get("fingerprint") != fingerprint:
-            raise CheckpointMismatchError(
-                f"checkpoint {self.path} was written by a different search "
-                "(workload, backend, space or settings changed); delete it "
-                "or drop --resume to start over"
-            )
-        records: List[List[PerformanceEstimate]] = []
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                generation = int(record["generation"])
-                estimates = [
-                    estimate_from_json(doc) for doc in record["estimates"]
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                logger.warning(
-                    "search checkpoint %s: ignoring torn record at line %d "
-                    "(and everything after it)",
-                    self.path,
-                    number,
-                )
-                break
-            if generation != len(records):
-                logger.warning(
-                    "search checkpoint %s: generation %d out of order at "
-                    "line %d; ignoring it and everything after",
-                    self.path,
-                    generation,
-                    number,
-                )
-                break
-            records.append(estimates)
-        return records
-
-    def open_for_append(self, fingerprint: str, fresh: bool, budget: int) -> None:
-        """Truncate + header when ``fresh``, else position for append."""
-        mode = "w" if fresh or not os.path.exists(self.path) else "a"
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
-            self._write(
-                {
-                    "schema": MOO_CHECKPOINT_SCHEMA,
-                    "fingerprint": fingerprint,
-                    "budget": budget,
-                }
-            )
-
-    def record_generation(
-        self, generation: int, estimates: Sequence[PerformanceEstimate]
-    ) -> None:
-        """Append one completed generation (flushed and fsynced)."""
-        if self._handle is None:
-            raise RuntimeError("checkpoint is not open for append")
-        self._write(
-            {
-                "generation": generation,
-                "estimates": [estimate_to_json(e) for e in estimates],
-            }
-        )
-
-    def _write(self, doc: Dict[str, Any]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 @dataclass
@@ -423,26 +294,26 @@ def run_search(
         seeds=seeds,
     )
 
-    journal: Optional[SearchCheckpoint] = None
-    journaled_generations = 0
+    journal: Optional[SweepCheckpoint] = None
     evaluated: Dict[CacheConfig, PerformanceEstimate] = {}
+    # Journal index of each configuration: its place in the canonical
+    # space.  Searchers may also propose neighbours outside the space
+    # (greedy walks the axis product); those are numbered after it, in
+    # evaluation order, so a resume numbers them the same way.
+    index = {config: i for i, config in enumerate(ordered_space)}
     if checkpoint:
         fingerprint = search_fingerprint(evaluator, ordered_space, settings)
-        journal = SearchCheckpoint(checkpoint)
-        records: List[List[PerformanceEstimate]] = []
+        journal = SweepCheckpoint(checkpoint)
         if resume:
-            records = journal.load(fingerprint)
-        # Always rewrite: a torn trailing line must not linger mid-file.
-        journal.open_for_append(fingerprint, fresh=True, budget=settings.budget)
-        for generation, estimates in enumerate(records):
-            journal.record_generation(generation, estimates)
-            for estimate in estimates:
+            for i, estimate in sorted(journal.load(fingerprint).items()):
                 evaluated[estimate.config] = estimate
-        journaled_generations = len(records)
-        if journaled_generations:
+                index.setdefault(estimate.config, i)
+        journal.open_for_append(
+            fingerprint, fresh=not resume, configs=len(ordered_space)
+        )
+        if evaluated:
             logger.info(
-                "search resume: %d generations (%d estimates) from %s",
-                journaled_generations,
+                "search resume: %d estimates from %s",
                 len(evaluated),
                 checkpoint,
             )
@@ -494,8 +365,13 @@ def run_search(
                 for estimate in fresh:
                     evaluated[estimate.config] = estimate
                 requested.update(admitted)
-                if journal is not None and generation >= journaled_generations:
-                    journal.record_generation(generation, fresh)
+                if journal is not None and fresh:
+                    journal.record_chunk(
+                        [
+                            (index.setdefault(e.config, len(index)), e)
+                            for e in fresh
+                        ]
+                    )
                 generation_estimates = [evaluated[c] for c in admitted]
                 if archive.reference is None:
                     vectors = [

@@ -1,8 +1,7 @@
-"""Classic single-objective heuristics, now living in the search subsystem.
+"""Classic single-objective heuristics in the search subsystem.
 
-The exact greedy coordinate-descent and bound-pruned sweep that used to be
-``repro.core.search`` (which now re-exports them behind
-``DeprecationWarning`` shims), plus :class:`Searcher` adapters so both
+The exact greedy coordinate-descent and bound-pruned sweep (returning a
+:class:`SearchOutcome`), plus :class:`Searcher` adapters so both
 strategies are first-class citizens of the ``searcher`` registry kind and
 show up in ``repro plugins`` alongside NSGA-II and grammatical evolution.
 
@@ -14,20 +13,37 @@ driver can run them with deduplicated, store-deduplicated generations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig, powers_of_two
 from repro.core.metrics import PerformanceEstimate
+from repro.engine.result import ExplorationResult
 
 __all__ = [
     "GreedyDescentSearcher",
     "PrunedSweepSearcher",
+    "SearchOutcome",
     "greedy_descent",
     "pruned_min_energy",
 ]
 
 Point = Tuple[float, ...]
 EvaluatorFn = Callable[[CacheConfig], PerformanceEstimate]
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    """Best point found plus the cost of finding it."""
+
+    best: PerformanceEstimate
+    evaluations: int
+    visited: Tuple[CacheConfig, ...]
+
+    @property
+    def result(self) -> ExplorationResult:
+        """The visited estimates are not retained; expose the best only."""
+        return ExplorationResult([self.best])
 
 
 def _as_callable(evaluator: Any) -> EvaluatorFn:
@@ -76,7 +92,7 @@ def greedy_descent(
     ways: Sequence[int] = (1, 2, 4, 8),
     tilings: Sequence[int] = (1, 2, 4, 8),
     max_rounds: int = 8,
-):
+) -> SearchOutcome:
     """Coordinate-descent search for the best configuration.
 
     ``objective`` is ``"energy"`` or ``"cycles"``.  Finds a local optimum
@@ -84,8 +100,6 @@ def greedy_descent(
     reaches the global optimum with ~10x fewer evaluations (measured by
     the search ablation bench).
     """
-    from repro.core.search import SearchOutcome
-
     if objective not in ("energy", "cycles"):
         raise ValueError("objective must be 'energy' or 'cycles'")
     key = (
@@ -128,7 +142,7 @@ def pruned_min_energy(
     evaluator: Any,
     configs: Sequence[CacheConfig],
     hit_energy_bound: Callable[[CacheConfig], float],
-):
+) -> SearchOutcome:
     """Exhaustive minimum-energy sweep with sound lower-bound pruning.
 
     ``hit_energy_bound(config)`` must be a true lower bound on the total
@@ -136,8 +150,6 @@ def pruned_min_energy(
     misses only add energy).  Configurations whose bound exceeds the best
     total seen are skipped without evaluation, preserving optimality.
     """
-    from repro.core.search import SearchOutcome
-
     best: Optional[PerformanceEstimate] = None
     visited: List[CacheConfig] = []
     evaluate_fn = _as_callable(evaluator)

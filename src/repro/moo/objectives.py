@@ -24,6 +24,10 @@ OBJECTIVES: Tuple[str, ...] = ("cycles", "energy", "area")
 
 def validate_objectives(objectives: Sequence[str]) -> Tuple[str, ...]:
     """Normalise and validate an objective-name list (1-3 known names)."""
+    if not isinstance(objectives, (list, tuple)) or not all(
+        isinstance(name, str) for name in objectives
+    ):
+        raise ValueError("objectives must be a list of names")
     names = tuple(objectives)
     if not names:
         raise ValueError("at least one objective is required")

@@ -6,9 +6,10 @@ to a ``spec_hash``.  A spec carrying a ``search`` section
 (:class:`~repro.moo.driver.SearchSettings`) is a *search job* instead:
 the runner drives :func:`~repro.moo.driver.run_search` over the spec's
 grid, publishes one ``repro.front/1`` event per completed generation
-into the job's event history, journals generations to a distinct
-``<spec_hash>.moo.jsonl`` spool file, and persists the final (or, on
-cancellation, partial) front in the run manifest.  The hash is the coalescing key: while a job with the
+into the job's event history, journals each generation's evaluations to
+the same ``<spec_hash>.jsonl`` spool file a sweep would use, and
+persists the final (or, on cancellation, partial) front in the run
+manifest.  The hash is the coalescing key: while a job with the
 same hash is queued or running, further submissions attach to it instead
 of enqueueing duplicates, so concurrent clients sweeping the same grid
 pay for it once.  Overlapping-but-different grids deduplicate one level
@@ -155,6 +156,24 @@ class JobSpec:
     search: Optional[SearchSettings] = None
 
     def __post_init__(self) -> None:
+        for name in ("kernel", "backend", "sram", "objective"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a name")
+        for name in ("max_size", "min_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("ways", "tilings"):
+            value = getattr(self, name)
+            if name == "tilings" and value is None:
+                continue
+            if not isinstance(value, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, int) for v in value
+            ):
+                raise ValueError(
+                    f"{name} must be a list of integers, got {value!r}"
+                )
+            object.__setattr__(self, name, tuple(value))
         registry = get_registry()
         if not registry.has("kernel", self.kernel):
             raise ValueError(f"unknown kernel {self.kernel!r}")
@@ -166,11 +185,6 @@ class JobSpec:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.min_size <= 0 or self.max_size < self.min_size:
             raise ValueError("size bounds must satisfy 0 < min <= max")
-        object.__setattr__(self, "ways", tuple(int(w) for w in self.ways))
-        if self.tilings is not None:
-            object.__setattr__(
-                self, "tilings", tuple(int(b) for b in self.tilings)
-            )
         if isinstance(self.search, dict):
             object.__setattr__(
                 self, "search", SearchSettings.from_json(self.search)
@@ -222,10 +236,6 @@ class JobSpec:
         if "kernel" not in doc:
             raise ValueError("job spec needs a kernel")
         kwargs: Dict[str, Any] = dict(doc)
-        if "ways" in kwargs:
-            kwargs["ways"] = tuple(kwargs["ways"])
-        if kwargs.get("tilings") is not None:
-            kwargs["tilings"] = tuple(kwargs["tilings"])
         if kwargs.get("search") is not None:
             kwargs["search"] = SearchSettings.from_json(kwargs["search"])
         elif "search" in kwargs:
@@ -1031,15 +1041,9 @@ class JobRunner(threading.Thread):
     def checkpoint_path(self, job: Job) -> str:
         """Where one job journals its completed work (by spec hash).
 
-        Search jobs journal completed *generations* in the
-        ``repro.moo.checkpoint/1`` format under a distinct ``.moo.jsonl``
-        suffix, so the store's journal-based repair (which replays sweep
-        chunk journals) never misreads one.
+        Sweeps and searches share the ``repro.checkpoint/1`` format, so
+        the store's journal-based repair reads either kind.
         """
-        if job.spec.search is not None:
-            return os.path.join(
-                self.spool_dir, f"{job.spec.spec_hash}.moo.jsonl"
-            )
         return os.path.join(self.spool_dir, f"{job.spec.spec_hash}.jsonl")
 
     def breaker_for(self, eval_id: str) -> CircuitBreaker:
@@ -1170,9 +1174,15 @@ class JobRunner(threading.Thread):
                 "could not record trace for job %s: %s", job.job_id, exc
             )
 
-    def _sweep(
-        self, job: Job, cancel_event: Optional[threading.Event] = None
-    ) -> ExplorationResult:
+    def _prepare(
+        self, job: Job
+    ) -> Tuple[Any, List[CacheConfig], CircuitBreaker]:
+        """The preamble every job shares: evaluator, grid, breaker gate.
+
+        Builds the store-backed evaluator, fails fast while the
+        evaluator's circuit breaker is open and publishes zero progress
+        against the job's denominator (grid size, or search budget).
+        """
         spec = job.spec
         evaluator = spec.build_evaluator(self.manager.store)
         configs = spec.configs()
@@ -1185,7 +1195,36 @@ class JobRunner(threading.Thread):
                 f"retry in {breaker.retry_after_s():.0f}s",
                 retry_after_s=breaker.retry_after_s(),
             )
-        self.manager.progress(job, 0, len(configs))
+        total = len(configs) if spec.search is None else spec.search.budget
+        self.manager.progress(job, 0, total)
+        return evaluator, configs, breaker
+
+    def _commit(
+        self,
+        job: Job,
+        evaluator: Any,
+        configs: List[CacheConfig],
+        estimates: List[Any],
+        **manifest: Any,
+    ) -> None:
+        """Backfill the store, then record the job's manifest.
+
+        Estimates resumed from the journal never passed through the
+        store-backed evaluator this run; backfilling makes the store hold
+        every estimate the job produced (``INSERT OR IGNORE`` makes the
+        overlap free).
+        """
+        with span("store.write", rows=len(estimates)):
+            self.manager.store.put_many(
+                evaluator.eval_id, [(e.config, e) for e in estimates]
+            )
+        self._record_manifest(job, evaluator, configs, **manifest)
+
+    def _sweep(
+        self, job: Job, cancel_event: Optional[threading.Event] = None
+    ) -> ExplorationResult:
+        """Evaluate the whole grid through a checkpointed parallel sweep."""
+        evaluator, configs, breaker = self._prepare(job)
         resilience = ResilienceOptions(
             checkpoint=self.checkpoint_path(job),
             resume=True,
@@ -1203,47 +1242,25 @@ class JobRunner(threading.Thread):
             "sweep",
             configs=len(configs),
             jobs=self.sweep_jobs,
-            backend=spec.backend,
+            backend=job.spec.backend,
         ):
             estimates = sweep.run(evaluator, configs)
-        # Rows resumed from the checkpoint journal never pass through the
-        # evaluator; backfill them so the store holds the complete sweep
-        # (INSERT OR IGNORE makes the overlap free).
-        with span("store.write", rows=len(configs)):
-            self.manager.store.put_many(
-                evaluator.eval_id, zip(configs, estimates)
-            )
-        self._record_manifest(job, evaluator, configs, resilience=resilience)
+        self._commit(job, evaluator, configs, estimates, resilience=resilience)
         return ExplorationResult(estimates)
 
     def _search(
         self, job: Job, cancel_event: Optional[threading.Event] = None
     ) -> ExplorationResult:
-        """Run one multi-objective search job (spec carries ``search``).
+        """Run the spec's multi-objective search over the grid.
 
         One ``repro.front/1`` event per completed generation is published
-        into the job's history (the ``/events`` wire); generations
-        journal to ``<spool>/<spec_hash>.moo.jsonl`` so a cancelled,
-        expired or killed search resumes bit-identically on
-        resubmission.  A cooperative cancellation persists the front as
-        of the last complete generation in a partial search manifest
-        before unwinding.
+        into the job's history (the ``/events`` wire).  A cooperative
+        cancellation persists the front as of the last complete
+        generation in a partial search manifest before unwinding.
         """
-        spec = job.spec
-        settings = spec.search
+        settings = job.spec.search
         assert settings is not None
-        evaluator = spec.build_evaluator(self.manager.store)
-        configs = spec.configs()
-        breaker = self.breaker_for(evaluator.eval_id)
-        if not breaker.allow():
-            get_metrics().counter("breaker.fail_fast").inc()
-            raise CircuitOpenError(
-                f"circuit breaker for evaluator {evaluator.eval_id[:12]} "
-                f"({spec.kernel}/{spec.backend}) is open; "
-                f"retry in {breaker.retry_after_s():.0f}s",
-                retry_after_s=breaker.retry_after_s(),
-            )
-        self.manager.progress(job, 0, settings.budget)
+        evaluator, configs, _ = self._prepare(job)
         last_event: Dict[str, Any] = {}
 
         def publish(event: Dict[str, Any], archive: Any) -> None:
@@ -1256,7 +1273,7 @@ class JobRunner(threading.Thread):
                 "moo.job",
                 searcher=settings.searcher,
                 space=len(configs),
-                backend=spec.backend,
+                backend=job.spec.backend,
             ):
                 run = run_search(
                     evaluator,
@@ -1286,16 +1303,8 @@ class JobRunner(threading.Thread):
                     },
                 )
             raise
-        # Estimates resumed from the generation journal never touched the
-        # store-backed evaluator this run; backfill so the store holds
-        # every configuration the search evaluated.
-        with span("store.write", rows=len(run.estimates)):
-            self.manager.store.put_many(
-                evaluator.eval_id,
-                [(estimate.config, estimate) for estimate in run.estimates],
-            )
-        self._record_manifest(
-            job, evaluator, configs, search=run.manifest_doc()
+        self._commit(
+            job, evaluator, configs, run.estimates, search=run.manifest_doc()
         )
         return run.result
 

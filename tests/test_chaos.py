@@ -362,7 +362,7 @@ class TestSearchChaos:
         space, clean = self._clean()
         settings_ = SearchSettings(**self.SETTINGS_DOC)
         root = tmp_path_factory.mktemp("moo-chaos")
-        journal = str(root / "search.moo.jsonl")
+        journal = str(root / "search.jsonl")
 
         # A completed journal, then the kill: keep the header plus the
         # first ``kill_after`` generation records, optionally tearing a
@@ -415,13 +415,13 @@ class TestSearchChaos:
         # spool holds a journal cut off after two generations with a torn
         # trailing line -- exactly what SIGKILL mid-write leaves behind.
         os.makedirs(spool, exist_ok=True)
-        scratch = str(root / "scratch.moo.jsonl")
+        scratch = str(root / "scratch.jsonl")
         run_search(
             spec.build_evaluator(), spec.configs(), spec.search,
             checkpoint=scratch,
         )
         lines = open(scratch, encoding="utf-8").read().splitlines()
-        journal = os.path.join(spool, f"{spec.spec_hash}.moo.jsonl")
+        journal = os.path.join(spool, f"{spec.spec_hash}.jsonl")
         with open(journal, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[:3]) + "\n")
             handle.write(lines[3][:25])

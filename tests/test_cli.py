@@ -117,10 +117,13 @@ class TestNewCommands:
         ) == 0
 
     def test_search(self, capsys):
-        assert main(["search", "compress", "--max-size", "128"]) == 0
+        assert main(
+            ["pareto", "compress", "--max-size", "128", "--searcher",
+             "greedy", "--objectives", "energy", "--generations", "8"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "best (energy)" in out
-        assert "evaluations spent" in out
+        assert "front after" in out
+        assert "configurations evaluated" in out
 
     def test_codegen(self, capsys):
         assert main(

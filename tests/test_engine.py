@@ -11,7 +11,6 @@ The load-bearing claims:
 * the legacy explorer surfaces are thin shims over one shared pipeline.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +43,6 @@ from repro.engine.backends import (
     SampledBackend,
 )
 from repro.icache.blocks import ControlFlowTrace, Program
-from repro.icache.explorer import ICacheExplorer
 from repro.kernels import get_kernel
 
 
@@ -346,29 +344,7 @@ class TestParallelSweep:
 
 
 class TestLegacyShims:
-    def test_trace_for_deprecation(self):
-        explorer = MemExplorer(get_kernel("compress"))
-        with pytest.warns(DeprecationWarning):
-            trace, conflict_free = explorer._trace_for(CacheConfig(64, 8))
-        assert len(trace) > 0 and isinstance(conflict_free, bool)
-
-    def test_trace_for_delegates_to_engine(self):
-        explorer = MemExplorer(get_kernel("compress"))
-        config = CacheConfig(64, 8)
-        with pytest.warns(DeprecationWarning):
-            trace, conflict_free = explorer._trace_for(config)
-        bundle = explorer.evaluator._bundle_for(config)
-        assert trace is bundle.trace
-        assert conflict_free == bundle.conflict_free
-
-    def test_icache_trace_deprecation(self):
-        explorer = ICacheExplorer(_loop_execution())
-        with pytest.warns(DeprecationWarning):
-            trace = explorer.trace
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert explorer.trace is trace  # identity preserved
-        assert trace is explorer.workload.trace  # delegation, not a copy
+    """MemExplorer stays a thin facade over the engine evaluator."""
 
     def test_explorer_exposes_engine_evaluator(self):
         explorer = MemExplorer(get_kernel("compress"), backend="sampled")

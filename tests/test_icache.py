@@ -107,4 +107,4 @@ class TestICacheExplorer:
 
     def test_trace_is_cached(self, execution):
         explorer = ICacheExplorer(execution)
-        assert explorer.trace is explorer.trace
+        assert explorer.workload.trace is explorer.workload.trace

@@ -8,7 +8,11 @@ import pytest
 from repro.core.config import CacheConfig, design_space
 from repro.core.metrics import PerformanceEstimate
 from repro.engine import Evaluator, KernelWorkload
-from repro.engine.resilience import CheckpointMismatchError, SweepCancelledError
+from repro.engine.resilience import (
+    CheckpointMismatchError,
+    SweepCancelledError,
+    load_checkpoint_estimates,
+)
 from repro.kernels import get_kernel
 from repro.moo import (
     ConfigGrammar,
@@ -206,6 +210,12 @@ class TestSearchSettings:
             {"reference": (1.0,)},
             {"reference": (0.0, 1.0)},
             {"searcher": ""},
+            {"generations": "3"},
+            {"population": 2.5},
+            {"seed": True},
+            {"seed_population": 1},
+            {"objectives": "cycles"},
+            {"reference": (None, 1.0)},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -292,7 +302,7 @@ class TestRunSearch:
             self._run(settings={"searcher": "simulated-annealing"})
 
     def test_resume_is_bit_identical(self, tmp_path):
-        journal = str(tmp_path / "search.moo.jsonl")
+        journal = str(tmp_path / "search.jsonl")
         clean = self._run()
 
         cancel = threading.Event()
@@ -314,8 +324,30 @@ class TestRunSearch:
         ]
         assert resumed.evaluations == clean.evaluations
 
+    def _tear(self, journal, records):
+        """Keep the header and ``records`` records, then a torn line."""
+        lines = open(journal, encoding="utf-8").read().splitlines()
+        assert len(lines) > records + 1
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[: 1 + records]) + "\n")
+            handle.write(lines[1 + records][:25])
+
+    @pytest.mark.parametrize("searcher", ["nsga2", "greedy"])
+    def test_torn_resume_leaves_a_complete_journal(self, tmp_path, searcher):
+        # Greedy also evaluates neighbours outside the space; they are
+        # journaled under indices past it and replay like the rest.
+        journal = str(tmp_path / "search.jsonl")
+        settings = {"searcher": searcher}
+        clean = self._run(settings=settings, checkpoint=journal)
+        self._tear(journal, records=1)
+        resumed = self._run(settings=settings, checkpoint=journal, resume=True)
+        assert resumed.events == clean.events
+        assert resumed.estimates == clean.estimates
+        journaled = {e.config: e for e in load_checkpoint_estimates(journal)}
+        assert journaled == {e.config: e for e in clean.estimates}
+
     def test_resume_rejects_changed_settings(self, tmp_path):
-        journal = str(tmp_path / "search.moo.jsonl")
+        journal = str(tmp_path / "search.jsonl")
         self._run(checkpoint=journal)
         with pytest.raises(CheckpointMismatchError):
             self._run(checkpoint=journal, resume=True, settings={"seed": 99})

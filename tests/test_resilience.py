@@ -214,6 +214,24 @@ class TestSweepCheckpoint:
             handle.write('{"chunk": [[1, {"config": [64,')  # killed mid-write
         assert SweepCheckpoint(path).load(fingerprint) == dict(pairs)
 
+    def test_append_after_unterminated_record(self, tmp_path):
+        # A record whose newline never hit the disk is still whole; the
+        # next append must start on a line of its own.
+        evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
+        configs = _small_configs()
+        fingerprint = sweep_fingerprint(evaluator, configs)
+        pairs = [(i, evaluator.evaluate(configs[i])) for i in range(2)]
+        path = str(tmp_path / "sweep.jsonl")
+        with SweepCheckpoint(path) as journal:
+            journal.open_for_append(fingerprint, fresh=True, configs=len(configs))
+            journal.record_chunk(pairs[:1])
+        with open(path, "rb+") as handle:
+            handle.truncate(len(handle.read()) - 1)  # drop the last newline
+        with SweepCheckpoint(path) as journal:
+            journal.open_for_append(fingerprint, fresh=False, configs=len(configs))
+            journal.record_chunk(pairs[1:])
+        assert SweepCheckpoint(path).load(fingerprint) == dict(pairs)
+
     def test_record_requires_open(self, tmp_path):
         journal = SweepCheckpoint(str(tmp_path / "sweep.jsonl"))
         with pytest.raises(CheckpointError, match="not open"):
@@ -260,6 +278,32 @@ class TestCheckpointResume:
         )
         assert list(resumed.estimates) == list(clean.estimates)
         assert _counter("resilience.resumed_configs") > before
+
+    def test_resume_after_torn_tail_journals_every_chunk(self, tmp_path):
+        # A kill mid-write leaves a torn last line.  The resumed sweep
+        # must not append behind it: everything after a tear is ignored
+        # on load, so a second kill would re-evaluate every chunk the
+        # resume journaled.
+        evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
+        configs = _small_configs()
+        path = str(tmp_path / "sweep.jsonl")
+
+        def sweep(resume):
+            return ParallelSweep(
+                jobs=1,
+                chunk_size=2,
+                resilience=ResilienceOptions(checkpoint=path, resume=resume),
+            ).run(evaluator, configs)
+
+        clean = sweep(resume=False)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:3]) + "\n" + lines[3][:20])
+        assert sweep(resume=True) == clean
+        journaled = SweepCheckpoint(path).load(
+            sweep_fingerprint(evaluator, configs)
+        )
+        assert [journaled[i] for i in range(len(configs))] == clean
 
     def test_resume_across_different_job_counts(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))

@@ -106,6 +106,22 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="bounds"):
             JobSpec(kernel="compress", max_size=16, min_size=64)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kernel": "compress", "ways": 3},
+            {"kernel": "compress", "ways": [1, True]},
+            {"kernel": "compress", "tilings": "1"},
+            {"kernel": "compress", "max_size": 64.0},
+            {"kernel": "compress", "min_size": False},
+            {"kernel": ["compress"]},
+            {"kernel": "compress", "search": {"generations": "3"}},
+        ],
+    )
+    def test_mistyped_fields_rejected(self, doc):
+        with pytest.raises(ValueError):
+            JobSpec.from_json(doc)
+
 
 class TestQueue:
     def test_priority_order(self, tmp_path):
@@ -952,6 +968,20 @@ class TestSearchJobs:
         assert excinfo.value.status == 400
         assert "search" in excinfo.value.doc["error"]
 
+    @pytest.mark.parametrize(
+        "path, spec",
+        [
+            ("/pareto", {"kernel": "compress", "search": {"generations": "3"}}),
+            ("/jobs", {"kernel": "compress", "ways": 3}),
+            ("/pareto", {"kernel": "compress", "search": {"population": 2.5}}),
+        ],
+    )
+    def test_malformed_spec_answers_400(self, live, path, spec):
+        with pytest.raises(ServeError) as excinfo:
+            live.client.submit(spec, max_attempts=1, path=path)
+        assert excinfo.value.status == 400
+        assert excinfo.value.doc["error"]
+
     def test_pareto_streams_monotone_fronts(self, live):
         doc = live.client.pareto(self.SEARCH)
         job = live.client.wait(doc["job_id"], timeout_s=120)
@@ -1040,7 +1070,7 @@ class TestSearchJobs:
                 assert manifest["search"]["front"]
                 # ... and the generation journal survived for the resume.
                 journal = os.path.join(
-                    str(tmp_path / "spool"), f"{spec.spec_hash}.moo.jsonl"
+                    str(tmp_path / "spool"), f"{spec.spec_hash}.jsonl"
                 )
                 assert os.path.exists(journal)
             # A resubmission resumes (or re-serves) and finishes with the

@@ -457,6 +457,35 @@ class TestVerify:
         assert [found[c] for c in spec.configs()] == list(estimates)
 
 
+    def test_repair_rebuilds_estimates_from_search_journal(self, tmp_path):
+        from repro.moo import SearchSettings, run_search
+        from repro.serve import JobManager, JobSpec
+
+        spec = JobSpec(
+            kernel="compress", max_size=64, min_size=16, tilings=(1,),
+            search=SearchSettings(generations=3, population=6, seed=7),
+        )
+        store = open_store(str(tmp_path / "r.db"))
+        JobManager(store).submit(spec)
+        # A search journals to the same spool path and format a sweep
+        # would, so the repair reads it the same way.
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        run = run_search(
+            spec.build_evaluator(), spec.configs(), spec.search,
+            checkpoint=str(spool / f"{spec.spec_hash}.jsonl"),
+        )
+        eval_id = spec.eval_id()
+        store.put_many(eval_id, [(e.config, e) for e in run.estimates])
+        _poison_estimate(store.path)
+        report = store.verify(repair=True, spool_dir=str(spool))
+        assert report["quarantined"] == 1
+        assert report["rows_rebuilt"] == 1
+        configs = [e.config for e in run.estimates]
+        found = store.get_many(eval_id, configs)
+        assert [found[c] for c in configs] == run.estimates
+
+
 class TestBusyRetry:
     def test_write_retries_on_locked_database(self, tmp_path):
         store = open_store(str(tmp_path / "r.db"))
