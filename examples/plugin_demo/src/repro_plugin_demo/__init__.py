@@ -92,7 +92,6 @@ class FaultyBackend(Backend):
     """
 
     name = "faulty"
-    provides_vector = False
 
     def measure(self, trace, config):
         raise RuntimeError(

@@ -22,6 +22,7 @@ from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
 from repro.energy.model import EnergyModel
 from repro.engine.evaluator import Evaluator, order_configs
+from repro.engine.parallel import ParallelSweep
 from repro.engine.result import ExplorationResult
 from repro.engine.workload import KernelWorkload
 from repro.kernels.base import Kernel
@@ -83,20 +84,23 @@ class CompositeProgram:
         """``sum_j trip(j)``."""
         return sum(self.trips.values())
 
-    def contributions(self, config: CacheConfig) -> List[KernelContribution]:
-        """Per-kernel records for one shared configuration."""
+    def _weigh(
+        self, estimates: Iterable[PerformanceEstimate]
+    ) -> List[KernelContribution]:
+        """Pair per-kernel estimates (in kernel order) with their trips."""
         return [
             KernelContribution(
                 kernel_name=kernel.name,
                 trip=self.trips[kernel.name],
-                estimate=self._evaluators[kernel.name].evaluate(config),
+                estimate=estimate,
             )
-            for kernel in self.kernels
+            for kernel, estimate in zip(self.kernels, estimates)
         ]
 
-    def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
-        """Aggregate whole-program metrics for one configuration."""
-        parts = self.contributions(config)
+    def _aggregate(
+        self, config: CacheConfig, parts: Sequence[KernelContribution]
+    ) -> PerformanceEstimate:
+        """Trip-weighted whole-program metrics from per-kernel records."""
         total_trip = self.total_trips
         miss_rate = sum(p.estimate.miss_rate * p.trip for p in parts) / total_trip
         read_miss_rate = (
@@ -128,29 +132,55 @@ class CompositeProgram:
             ),
         )
 
+    def contributions(self, config: CacheConfig) -> List[KernelContribution]:
+        """Per-kernel records for one shared configuration."""
+        return self._weigh(
+            self._evaluators[kernel.name].evaluate(config)
+            for kernel in self.kernels
+        )
+
+    def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
+        """Aggregate whole-program metrics for one configuration."""
+        return self._aggregate(config, self.contributions(config))
+
+    def evaluate_batch(
+        self, configs: Iterable[CacheConfig]
+    ) -> List[PerformanceEstimate]:
+        """Aggregate whole-program metrics for many configurations.
+
+        Each kernel's :meth:`~repro.engine.evaluator.Evaluator.evaluate_batch`
+        prices the whole batch, so a grid-capable backend makes one pass
+        per (kernel, trace key) group instead of one per configuration.
+        Estimates are in input order and bit-identical to :meth:`evaluate`.
+        """
+        configs = list(configs)
+        columns = [
+            self._evaluators[kernel.name].evaluate_batch(configs)
+            for kernel in self.kernels
+        ]
+        return [
+            self._aggregate(config, self._weigh(row))
+            for config, row in zip(configs, zip(*columns))
+        ]
+
     def explore(
         self, configs: Iterable[CacheConfig], jobs: int = 1, resilience=None
     ) -> ExplorationResult:
         """Aggregate estimates over a configuration set.
 
-        ``jobs > 1`` distributes whole-program evaluations (each one covers
-        every kernel) across processes via
-        :class:`~repro.engine.parallel.ParallelSweep`, preserving order.
-        ``resilience`` (a
-        :class:`~repro.engine.resilience.ResilienceOptions`) opts into
+        Runs through :class:`~repro.engine.parallel.ParallelSweep`:
+        ``jobs=1`` is one :meth:`evaluate_batch` over the ordered set,
+        ``jobs > 1`` distributes whole-program batches (each covering
+        every kernel) across processes, preserving order.  ``resilience``
+        (a :class:`~repro.engine.resilience.ResilienceOptions`) opts into
         per-chunk retries, timeouts and checkpoint/resume -- the journal
         fingerprint covers every kernel and trip count of the composite.
         """
-        ordered = order_configs(configs)
-        if (jobs and jobs > 1) or resilience is not None:
-            from repro.engine.parallel import ParallelSweep
-
-            return ExplorationResult(
-                ParallelSweep(jobs=jobs or 1, resilience=resilience).run(
-                    self, ordered
-                )
+        return ExplorationResult(
+            ParallelSweep(jobs=jobs or 1, resilience=resilience).run(
+                self, order_configs(configs)
             )
-        return ExplorationResult([self.evaluate(c) for c in ordered])
+        )
 
     def shared_cache_trace(self, config: CacheConfig) -> "MemoryTrace":
         """One interleaved trace of the whole program through a single cache.

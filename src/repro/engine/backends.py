@@ -120,18 +120,17 @@ def _measurement_from_vector(
 class Backend:
     """Protocol: measure the miss behaviour of a trace on a geometry.
 
-    ``provides_vector`` backends implement :meth:`miss_vector` (a bool per
-    access) from which :meth:`measure` is derived; estimating backends
-    implement :meth:`measure` directly.  ``provides_grid`` backends also
+    Exact simulators implement :meth:`miss_vector` (a bool per access),
+    from which the default :meth:`measure` is derived; estimating backends
+    override :meth:`measure` directly.  ``provides_grid`` backends also
     implement :meth:`measure_grid`, pricing a whole batch of same-trace,
-    same-line-size geometries in one go -- the evaluator and the parallel
-    executor group cold configurations and hand each group over at once.
-    ``params`` must make the measurement's cache key unique (e.g. the
-    sampling stride).
+    same-line-size geometries in one go -- the evaluator groups cold
+    configurations and hands each group over at once.  The evaluator
+    caches what :meth:`measure` returns; ``params`` must make that cache
+    key unique (e.g. the sampling stride).
     """
 
     name: str = "?"
-    provides_vector: bool = False
     provides_grid: bool = False
     requires_kernel: bool = False
 
@@ -163,7 +162,6 @@ class FastSimBackend(Backend):
     """Exact per-configuration LRU measurement through the stack filter."""
 
     name = "fastsim"
-    provides_vector = True
 
     def miss_vector(
         self, trace: MemoryTrace, config: "CacheConfig"
@@ -182,7 +180,6 @@ class ReferenceBackend(Backend):
     """
 
     name = "reference"
-    provides_vector = True
 
     def miss_vector(
         self, trace: MemoryTrace, config: "CacheConfig"
@@ -208,7 +205,6 @@ class SampledBackend(Backend):
     """
 
     name = "sampled"
-    provides_vector = False
 
     def __init__(self, sample_every: int = 4, offset: int = 0) -> None:
         if sample_every < 1:
@@ -271,7 +267,6 @@ class AnalyticBackend(Backend):
     """
 
     name = "analytic"
-    provides_vector = False
     requires_kernel = True
 
     def measure(
@@ -300,7 +295,6 @@ class OnePassBackend(Backend):
     """
 
     name = "onepass"
-    provides_vector = False
     provides_grid = True
 
     def measure(

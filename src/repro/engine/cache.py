@@ -6,8 +6,8 @@ functions of small keys:
 
 * an address trace depends only on ``(workload, T, L, B)`` (the
   associativity sweep reuses it);
-* a miss vector depends only on ``(trace, line size, sets, ways)`` and the
-  measuring backend.
+* a miss measurement depends only on ``(trace, line size, sets, ways)``
+  and the measuring backend.
 
 :class:`EvalCache` memoises both behind one bounded LRU store so that
 repeated sweeps -- within one explorer, across explorers sharing a kernel,
@@ -89,34 +89,8 @@ class _LruStore:
         self._eviction_counter = metrics.counter(f"{metric_prefix}.evictions")
 
     def get_or_compute(self, key: Hashable, builder: Callable[[], Any]) -> Any:
-        with self._lock:
-            if key in self._data:
-                self.hits += 1
-                self._data.move_to_end(key)
-                value = self._data[key]
-                self._hit_counter.inc()
-                return value
-        # Compute outside the lock: builders can be slow (trace generation,
-        # reference simulation) and must not serialise unrelated lookups.
-        value = builder()
-        with self._lock:
-            if key in self._data:
-                self.hits += 1  # someone else computed it meanwhile
-                self._data.move_to_end(key)
-                value = self._data[key]
-                self._hit_counter.inc()
-                return value
-            self.misses += 1
-            self._data[key] = value
-            evicted = 0
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-                evicted += 1
-            self.evictions += evicted
-        self._miss_counter.inc()
-        if evicted:
-            self._eviction_counter.inc(evicted)
-        return value
+        """One-key :meth:`get_or_compute_many` (same counters, same races)."""
+        return self.get_or_compute_many([key], lambda _: {key: builder()})[key]
 
     def get_or_compute_many(
         self,
@@ -125,12 +99,12 @@ class _LruStore:
     ) -> Dict[Hashable, Any]:
         """Batch get-or-compute: ``builder`` sees only the missing keys.
 
-        The batch analogue of :meth:`get_or_compute`, for callers whose
-        builder can amortise work across misses (the one-pass grid
-        backend).  Hit/miss/eviction accounting is per key, identical to
-        ``len(keys)`` single calls; the builder runs outside the lock and
-        races resolve first-writer-wins, with late duplicates counted as
-        hits just like the single-key path.
+        Lets a builder amortise work across misses (the one-pass grid
+        backend).  Hit/miss/eviction accounting is per key.  The builder
+        runs outside the lock -- builders can be slow (trace generation,
+        reference simulation) and must not serialise unrelated lookups --
+        and races resolve first-writer-wins, with late duplicates counted
+        as hits.
         """
         results: Dict[Hashable, Any] = {}
         missing: "list[Hashable]" = []
@@ -202,8 +176,8 @@ class EvalCache:
         Bound on retained traces.  Traces are the large objects (one numpy
         row per access), so the bound is small by default.
     max_miss_entries:
-        Bound on retained miss vectors / measurements, which are one bool
-        per access (or a tiny record for sampled estimates).
+        Bound on retained miss measurements (small records) and DRAM
+        miss-stream vectors (one bool per access).
     """
 
     _STORES = ("trace", "miss")

@@ -26,13 +26,9 @@ from repro.core.cycles import processor_cycles
 from repro.core.metrics import PerformanceEstimate
 from repro.energy.bus import address_bus_switching
 from repro.energy.model import EnergyModel
-from repro.engine.backends import (
-    Backend,
-    MissMeasurement,
-    _measurement_from_vector,
-    get_backend,
-)
+from repro.engine.backends import Backend, MissMeasurement, get_backend
 from repro.engine.cache import EvalCache, get_eval_cache
+from repro.engine.parallel import ParallelSweep
 from repro.engine.resilience import ResilienceOptions
 from repro.engine.result import ExplorationResult
 from repro.engine.workload import TraceBundle, Workload
@@ -149,7 +145,7 @@ class Evaluator:
             return self.cache.trace(key, lambda: self.workload.trace_for(config))
 
     def _measure_key(self, trace_key, config: CacheConfig):
-        """Cache key of a (non-vector) measurement for ``config``.
+        """Cache key of the measurement for ``config``.
 
         Shared by the single and the batch path, so a warm single
         evaluation hits whatever a grouped one-pass sweep filled in.
@@ -167,27 +163,13 @@ class Evaluator:
     def _measure(
         self, bundle: TraceBundle, config: CacheConfig
     ) -> MissMeasurement:
-        trace_key = self.workload.trace_key(config)
         with span(
             "miss_measure",
             backend=self.backend.name,
             config=config.label(full=True),
         ):
-            if self.backend.provides_vector:
-                key = (
-                    "vec",
-                    trace_key,
-                    config.line_size,
-                    config.num_sets,
-                    config.ways,
-                    self.backend.name,
-                )
-                vector = self.cache.miss(
-                    key, lambda: self.backend.miss_vector(bundle.trace, config)
-                )
-                return _measurement_from_vector(bundle.trace, vector)
             return self.cache.miss(
-                self._measure_key(trace_key, config),
+                self._measure_key(self.workload.trace_key(config), config),
                 lambda: self.backend.measure(bundle.trace, config),
             )
 
@@ -244,18 +226,23 @@ class Evaluator:
     def evaluate_batch(
         self, configs: Iterable[CacheConfig]
     ) -> List[PerformanceEstimate]:
-        """Many configurations at once, grouped for grid-capable backends.
+        """Many configurations at once: the method every executor calls.
 
-        Configurations are grouped by ``(trace key, line size)`` and each
-        group's *cold* measurements are obtained from one
+        :class:`~repro.engine.parallel.ParallelSweep` (and so
+        :meth:`sweep`), :func:`~repro.moo.driver.run_search` and the serve
+        store tier hand whole batches here, and this is the only place
+        that asks whether the backend can price a batch in one go.  For a
+        ``provides_grid`` backend, configurations are grouped by
+        ``(trace key, line size)`` and each group's *cold* measurements
+        are obtained from one
         :meth:`~repro.engine.backends.Backend.measure_grid` pass; warm
         ones come from the :class:`EvalCache` exactly as in
         :meth:`evaluate`, through the same keys, so single and grouped
-        evaluation fill and hit one another's entries.  Estimates are
-        returned in input order and are byte-identical to per-config
-        :meth:`evaluate` calls (asserted by the test suite).  Backends
-        without ``provides_grid`` (and the kernel-bound analytic backend)
-        simply fall back to per-config evaluation.
+        evaluation fill and hit one another's entries.  Other backends
+        (and the kernel-bound analytic backend) evaluate per
+        configuration.  Estimates are returned in input order and are
+        byte-identical to per-config :meth:`evaluate` calls (asserted by
+        the test suite).
         """
         configs = list(configs)
         if not self.backend.provides_grid or self.backend.requires_kernel:
@@ -334,10 +321,12 @@ class Evaluator:
     ) -> ExplorationResult:
         """Evaluate a configuration set (default: the MemExplore space).
 
-        ``jobs > 1`` fans the sweep out across processes through
-        :class:`~repro.engine.parallel.ParallelSweep`; results are returned
-        in the same deterministic order (and are bit-identical to the
-        serial path, which the tests assert).
+        The sweep runs through :class:`~repro.engine.parallel.ParallelSweep`,
+        which alone decides how: ``jobs > 1`` fans it out across processes,
+        ``jobs=1`` hands the whole ordered set to :meth:`evaluate_batch`.
+        Results come back in the same deterministic order either way (and
+        are bit-identical, which the tests assert).  ``progress`` sees each
+        estimate, in order, once the sweep is done.
 
         ``resilience`` opts into fault tolerance -- per-chunk retries and
         timeouts, checkpoint journaling and resume-from-checkpoint (see
@@ -358,27 +347,12 @@ class Evaluator:
         with span(
             "sweep", backend=self.backend.name, configs=len(ordered), jobs=jobs
         ):
-            if (jobs and jobs > 1) or resilience is not None:
-                from repro.engine.parallel import ParallelSweep
-
-                estimates = ParallelSweep(
-                    jobs=jobs or 1, resilience=resilience
-                ).run(self, ordered)
-                if progress is not None:
-                    for estimate in estimates:
-                        progress(estimate)
-            elif self.backend.provides_grid and not self.backend.requires_kernel:
-                estimates = self.evaluate_batch(ordered)
-                if progress is not None:
-                    for estimate in estimates:
-                        progress(estimate)
-            else:
-                estimates = []
-                for config in ordered:
-                    estimate = self.evaluate(config)
-                    estimates.append(estimate)
-                    if progress is not None:
-                        progress(estimate)
+            estimates = ParallelSweep(
+                jobs=jobs or 1, resilience=resilience
+            ).run(self, ordered)
+            if progress is not None:
+                for estimate in estimates:
+                    progress(estimate)
         elapsed = time.perf_counter() - started
         metrics = get_metrics()
         metrics.counter("engine.sweeps").inc()

@@ -125,29 +125,16 @@ def _diff_cache_counters(
 def _evaluate_pairs(
     evaluator: Any, indexed: Sequence[Tuple[int, CacheConfig]]
 ) -> List[Tuple[int, PerformanceEstimate]]:
-    """Evaluate an indexed chunk, batched when the backend allows it.
+    """Evaluate an indexed chunk as one ``evaluate_batch`` call.
 
-    Grid-capable backends (``provides_grid``) get the whole chunk at once
-    through ``evaluate_batch`` -- one stack-filter pass per (trace, line
-    size) group instead of one simulation per configuration.  Everything
-    else (vector backends, the kernel-bound analytic backend, evaluators
-    without a batch method such as :class:`CompositeProgram`) keeps the
-    historical per-config loop.  Results are bit-identical either way.
+    The evaluator decides how to price the batch (one stack-filter pass
+    per (trace, line size) group for grid-capable backends, per config
+    otherwise); results are bit-identical either way.
     """
-    backend = getattr(evaluator, "backend", None)
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if (
-        batch is not None
-        and backend is not None
-        and getattr(backend, "provides_grid", False)
-        and not getattr(backend, "requires_kernel", False)
-    ):
-        estimates = batch([config for _, config in indexed])
-        return [
-            (index, estimate)
-            for (index, _), estimate in zip(indexed, estimates)
-        ]
-    return [(index, evaluator.evaluate(config)) for index, config in indexed]
+    estimates = evaluator.evaluate_batch([config for _, config in indexed])
+    return [
+        (index, estimate) for (index, _), estimate in zip(indexed, estimates)
+    ]
 
 
 def _evaluate_chunk(
@@ -335,9 +322,14 @@ class ParallelSweep:
     ) -> List[PerformanceEstimate]:
         """Evaluate ``configs`` (already ordered) and return estimates in order.
 
-        ``evaluator`` is anything with a picklable ``evaluate(config)``
-        method -- an :class:`~repro.engine.evaluator.Evaluator`, a
-        :class:`~repro.core.composite.CompositeProgram`, etc.
+        ``evaluator`` is anything with a picklable
+        ``evaluate_batch(configs)`` method returning estimates in input
+        order -- an :class:`~repro.engine.evaluator.Evaluator`, a
+        :class:`~repro.core.composite.CompositeProgram`, a
+        :class:`~repro.serve.store.StoreBackedEvaluator`, etc.  This is
+        the one place that chooses serial or pool evaluation: without
+        explicit resilience options, ``jobs <= 1`` (or a single config)
+        is one direct ``evaluate_batch`` call over the whole set.
         """
         configs = list(configs)
         opts = self.resilience

@@ -3,9 +3,9 @@
 :func:`run_search` owns the generation loop so searchers stay pure
 strategies.  Each generation it asks the searcher for candidates, dedupes
 them into canonical order, evaluates only the cold ones through
-``Evaluator.evaluate_batch`` (one grouped one-pass/store-deduplicated
-batch per generation; ``jobs > 1`` fans out through
-:class:`~repro.engine.parallel.ParallelSweep`), updates the
+one :class:`~repro.engine.parallel.ParallelSweep` run (grouped
+one-pass/store-deduplicated ``evaluate_batch`` calls, in process for
+``jobs=1`` and fanned out for ``jobs > 1``), updates the
 :class:`~repro.moo.archive.FrontArchive`, journals the generation and
 tells the searcher its fitness vectors.
 
@@ -22,8 +22,9 @@ clean runs report the same numbers.
 
 Cancellation follows the sweep convention: a set ``cancel_event`` raises
 :class:`~repro.engine.resilience.SweepCancelledError` between generations
-(and aborts a parallel in-flight generation), leaving the journal intact
-so a resubmission resumes from the last complete generation.
+(and aborts an in-flight generation between its chunks), leaving the
+journal intact so a resubmission resumes from the last complete
+generation.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
+from repro.engine.evaluator import order_configs
+from repro.engine.parallel import ParallelSweep
 from repro.engine.resilience import (
     ResilienceOptions,
     SweepCancelledError,
@@ -59,14 +62,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _config_key(config: CacheConfig) -> Tuple[int, int, int, int]:
-    return (config.size, config.line_size, config.tiling, config.ways)
-
-
-def _order(configs) -> List[CacheConfig]:
-    return sorted(configs, key=_config_key)
 
 
 @dataclass(frozen=True)
@@ -237,21 +232,14 @@ def _evaluate(
     """One generation's cold evaluations (bit-identical serial/parallel)."""
     if not configs:
         return []
-    if jobs and jobs > 1:
-        from repro.engine.parallel import ParallelSweep
-
-        resilience = (
-            ResilienceOptions(cancel_event=cancel_event)
-            if cancel_event is not None
-            else None
-        )
-        return ParallelSweep(jobs=jobs, resilience=resilience).run(
-            evaluator, configs
-        )
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if callable(batch):
-        return batch(configs)
-    return [evaluator.evaluate(config) for config in configs]
+    resilience = (
+        ResilienceOptions(cancel_event=cancel_event)
+        if cancel_event is not None
+        else None
+    )
+    return ParallelSweep(jobs=jobs or 1, resilience=resilience).run(
+        evaluator, configs
+    )
 
 
 def run_search(
@@ -273,7 +261,7 @@ def run_search(
     the serve layer uses to stream fronts and persist partial state.
     """
     settings = settings if settings is not None else SearchSettings()
-    ordered_space = _order(set(space))
+    ordered_space = order_configs(set(space))
     if not ordered_space:
         raise ValueError("cannot search an empty configuration space")
     strategy = searcher if searcher is not None else _make_searcher(settings.searcher)
@@ -345,7 +333,7 @@ def run_search(
                 asked = strategy.ask()
                 if not asked:
                     break
-                unique = _order(dict.fromkeys(asked))
+                unique = order_configs(dict.fromkeys(asked))
                 admitted = _admissible(evaluator, unique)
                 if not admitted:
                     logger.warning(
@@ -416,7 +404,7 @@ def run_search(
     return SearchRun(
         settings=settings,
         front=front,
-        estimates=[evaluated[c] for c in _order(evaluated)],
+        estimates=[evaluated[c] for c in order_configs(evaluated)],
         events=events,
         generations=generations_run,
         evaluations=len(requested),

@@ -885,9 +885,8 @@ class StoreBackedEvaluator:
         Keeps the grouped cold path (one stack-filter pass per trace/line
         size group) intact underneath the store tier: stored estimates
         are returned as-is and only the misses reach the inner
-        evaluator's ``evaluate_batch`` -- falling back to per-config
-        evaluation when the inner evaluator has no batch method.  Fresh
-        estimates are recorded exactly as :meth:`evaluate` records them.
+        evaluator's ``evaluate_batch``.  Fresh estimates are recorded
+        exactly as :meth:`evaluate` records them.
         """
         configs = list(configs)
         results: "list[Optional[PerformanceEstimate]]" = [None] * len(configs)
@@ -901,11 +900,7 @@ class StoreBackedEvaluator:
                 cold.append(config)
                 cold_at.append(position)
         if cold:
-            inner_batch = getattr(self.inner, "evaluate_batch", None)
-            if inner_batch is not None:
-                fresh = inner_batch(cold)
-            else:
-                fresh = [self.inner.evaluate(config) for config in cold]
+            fresh = self.inner.evaluate_batch(cold)
             for position, config, estimate in zip(cold_at, cold, fresh):
                 self.store.put(self.eval_id, config, estimate)
                 results[position] = estimate

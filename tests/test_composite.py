@@ -3,19 +3,27 @@
 import pytest
 
 from repro.core.composite import CompositeProgram
-from repro.core.config import CacheConfig
+from repro.core.config import CacheConfig, design_space
 from repro.core.explorer import MemExplorer
+from repro.engine import cache as eval_cache
+from repro.engine.cache import EvalCache
 from repro.kernels import make_compress, make_matadd
+from repro.obs.metrics import get_metrics
 
 
-@pytest.fixture
-def program():
+def _two_kernels(backend):
     return CompositeProgram(
         [
             make_compress(n=7).with_invocations(3),
             make_matadd(n=6).with_invocations(5),
-        ]
+        ],
+        backend=backend,
     )
+
+
+@pytest.fixture
+def program():
+    return _two_kernels("fastsim")
 
 
 class TestAggregation:
@@ -76,6 +84,35 @@ class TestExploration:
         for config, energy in optima.values():
             assert config in configs
             assert energy > 0
+
+
+def _small_space():
+    return list(design_space(max_size=128, max_line=16, tilings=(1, 2)))
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("backend", ["fastsim", "onepass"])
+    def test_batch_equals_per_config_evaluate(self, backend, monkeypatch):
+        """Bit for bit, each side computed from its own cold cache."""
+        configs = _small_space()
+        monkeypatch.setattr(eval_cache, "_global_cache", EvalCache())
+        batched = _two_kernels(backend).evaluate_batch(configs)
+        monkeypatch.setattr(eval_cache, "_global_cache", EvalCache())
+        single = [_two_kernels(backend).evaluate(c) for c in configs]
+        assert batched == single
+        assert [e.config for e in batched] == configs
+
+    def test_explore_makes_one_pass_per_trace_group(self, monkeypatch):
+        monkeypatch.setattr(eval_cache, "_global_cache", EvalCache())
+        program = _two_kernels("onepass")
+        configs = _small_space()
+        # A kernel's trace key is (kernel, T, L, B): ways share a pass.
+        groups = {(c.size, c.line_size, c.tiling) for c in configs}
+        assert len(groups) < len(configs)
+        passes = get_metrics().counter("onepass.passes")
+        before = passes.value
+        program.explore(configs)
+        assert passes.value - before == len(program.kernels) * len(groups)
 
 
 class TestValidation:

@@ -245,7 +245,7 @@ class TestOnePassBackend:
         backend = get_backend("auto")
         assert isinstance(backend, OnePassBackend)
         assert backend.name == "onepass"
-        assert backend.provides_grid and not backend.provides_vector
+        assert backend.provides_grid
 
 
 class TestEvalCacheMissMany:
@@ -393,6 +393,9 @@ class TestGroupedEvaluation:
             workload = backend = energy_model = gray_code = cache = None
 
             def evaluate(self, config):
+                raise AssertionError("store hit must not reach the engine")
+
+            def evaluate_batch(self, configs):
                 raise AssertionError("store hit must not reach the engine")
 
         warm = StoreBackedEvaluator(Exploding(), store, eval_id=wrapped.eval_id)

@@ -73,6 +73,9 @@ class _PoisonedEvaluator:
             raise ValueError("poisoned configuration")
         return self.inner.evaluate(config)
 
+    def evaluate_batch(self, configs):
+        return [self.evaluate(config) for config in configs]
+
 
 class TestRetryPolicy:
     def test_delays_are_deterministic(self):
@@ -585,6 +588,9 @@ class _CancellingEvaluator:
         if self.count == self.after:
             self.event.set()
         return self.inner.evaluate(config)
+
+    def evaluate_batch(self, configs):
+        return [self.evaluate(config) for config in configs]
 
 
 class TestCooperativeCancellation:

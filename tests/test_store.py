@@ -220,6 +220,9 @@ class TestStoreBackedEvaluator:
             def evaluate(self, config):
                 raise AssertionError("store hit must not reach the engine")
 
+            def evaluate_batch(self, configs):
+                raise AssertionError("store hit must not reach the engine")
+
         second = StoreBackedEvaluator(
             Exploding(), store, eval_id=first.eval_id
         )
