@@ -15,7 +15,12 @@ Times what :mod:`repro.engine` adds over the old per-explorer pipelines:
   fixed trace so simulation (not trace generation) dominates.  Both run
   the same stack-filter engine, so the bench gates the grouping itself
   (one pass for the whole grid versus one simulation per configuration)
-  and records the speedup; ``check_regression.py`` guards both timings.
+  and records the speedup; ``check_regression.py`` guards both timings;
+* the paper's cold kernel sweep -- compress over its 568-configuration
+  space through ``auto`` in a fresh cache, where layout placement
+  dominates.  The bench asserts one placement per distinct (T, L) and
+  appends its wall time as a ``(s)`` row that ``check_regression.py``
+  guards.
 """
 
 import os
@@ -199,3 +204,53 @@ def test_perf_onepass_cold_sweep(benchmark, report):
         "onepass.set_counts": 5,
         "onepass.configs_measured": 25,
     }
+
+
+#: The paper's cold path: one kernel's full MemExplore space.
+COLD_KERNEL_SPACE = dict(max_size=1024, ways=(1, 2, 4, 8))
+COLD_KERNEL_ROW = "compress-568 cold sweep, auto, fresh EvalCache (s)"
+
+
+def test_perf_kernel_cold_sweep(benchmark):
+    from repro.core.config import design_space
+
+    configs = list(design_space(**COLD_KERNEL_SPACE))
+    geometries = {(config.size, config.line_size) for config in configs}
+    simulations = get_metrics().counter("layout.verify.simulations")
+
+    def cold_sweep():
+        cache = EvalCache()
+        evaluator = Evaluator(
+            KernelWorkload(get_kernel("compress")), backend="auto", cache=cache
+        )
+        before = simulations.value
+        t0 = time.perf_counter()
+        result = evaluator.sweep(configs=configs)
+        elapsed = time.perf_counter() - t0
+        return result, elapsed, simulations.value - before, cache.snapshot()
+
+    result, elapsed, placed, snapshot = benchmark.pedantic(
+        cold_sweep, rounds=1, iterations=1
+    )
+
+    # The gate is the count: each (nest, T, L) layout is placed (and
+    # certified) once, however many tilings and ways share it.
+    assert len(list(result)) == len(configs) == 568
+    assert len(geometries) == 39
+    assert placed == len(geometries)
+    assert snapshot["layout"]["misses"] == len(geometries)
+
+    # Rewrite this bench's row in place so a lone re-run does not stack
+    # copies; test_perf_engine_sweep regenerates the rest of the file.
+    from conftest import RESULTS_DIR
+
+    path = RESULTS_DIR / "perf_engine.txt"
+    kept = [
+        line
+        for line in path.read_text().splitlines()
+        if not line.startswith(COLD_KERNEL_ROW)
+    ]
+    while kept and not kept[-1].strip():
+        kept.pop()
+    kept += ["", f"{COLD_KERNEL_ROW}   {elapsed:.4f}"]
+    path.write_text("\n".join(kept) + "\n")

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
 from repro.energy.model import EnergyModel
+from repro.engine.cache import EvalCache
 from repro.engine.evaluator import Evaluator, order_configs
 from repro.engine.parallel import ParallelSweep
 from repro.engine.result import ExplorationResult
@@ -78,6 +79,11 @@ class CompositeProgram:
             )
             for k in kernels
         }
+
+    @property
+    def cache(self) -> EvalCache:
+        """The :class:`EvalCache` every kernel evaluator of this program fills."""
+        return self._evaluators[self.kernels[0].name].cache
 
     @property
     def total_trips(self) -> int:

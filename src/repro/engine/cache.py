@@ -7,14 +7,17 @@ functions of small keys:
 * an address trace depends only on ``(workload, T, L, B)`` (the
   associativity sweep reuses it);
 * a miss measurement depends only on ``(trace, line size, sets, ways)``
-  and the measuring backend.
+  and the measuring backend;
+* a kernel's Section 4.1 padded layout depends only on ``(nest, T, L)``,
+  so every tiling ``B`` of one geometry shares it.
 
-:class:`EvalCache` memoises both behind one bounded LRU store so that
-repeated sweeps -- within one explorer, across explorers sharing a kernel,
-or across CLI invocations in one process -- never recompute.  The cache is
-deliberately dependency-free (numpy and :mod:`repro.obs` only) so
-low-level call sites such as :func:`repro.energy.dram.miss_stream_energy`
-can use it without import cycles.
+:class:`EvalCache` memoises all three, each behind its own bounded LRU
+store, so that repeated sweeps -- within one explorer, across explorers
+sharing a kernel, or across CLI invocations in one process -- never
+recompute.  The cache is deliberately dependency-free (numpy and
+:mod:`repro.obs` only) so low-level call sites such as
+:func:`repro.energy.dram.miss_stream_energy` can use it without import
+cycles.
 
 Each store also feeds the :mod:`repro.obs` metrics registry
 (``evalcache.<store>.hits`` / ``.misses`` / ``.evictions``), and
@@ -160,15 +163,17 @@ class _LruStore:
             }
 
     def clear(self) -> None:
+        """Drop every entry and zero the counters."""
         with self._lock:
             self._data.clear()
+            self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
 
 
 class EvalCache:
-    """Two-level evaluation cache: traces and miss measurements.
+    """Three-store evaluation cache: traces, layouts and miss measurements.
 
     Parameters
     ----------
@@ -178,13 +183,29 @@ class EvalCache:
     max_miss_entries:
         Bound on retained miss measurements (small records) and DRAM
         miss-stream vectors (one bool per access).
+    max_layouts:
+        Bound on retained kernel layouts (one small
+        :class:`~repro.layout.assignment.AssignmentResult` per
+        ``(nest, T, L)``).
     """
 
-    _STORES = ("trace", "miss")
+    _STORES = ("trace", "miss", "layout")
 
-    def __init__(self, max_traces: int = 64, max_miss_entries: int = 1024) -> None:
-        self._traces = _LruStore(max_traces, metric_prefix="evalcache.trace")
-        self._miss = _LruStore(max_miss_entries, metric_prefix="evalcache.miss")
+    def __init__(
+        self,
+        max_traces: int = 64,
+        max_miss_entries: int = 1024,
+        max_layouts: int = 1024,
+    ) -> None:
+        bounds = {
+            "trace": max_traces,
+            "miss": max_miss_entries,
+            "layout": max_layouts,
+        }
+        self._stores = {
+            store: _LruStore(bounds[store], metric_prefix=f"evalcache.{store}")
+            for store in self._STORES
+        }
         # Worker-side counter deltas merged in by ParallelSweep; guarded by
         # its own lock because merges race with snapshot() readers.
         self._remote_lock = threading.Lock()
@@ -195,11 +216,15 @@ class EvalCache:
 
     def trace(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """The trace bundle for ``key``, computing it on first use."""
-        return self._traces.get_or_compute(key, builder)
+        return self._stores["trace"].get_or_compute(key, builder)
+
+    def layout(self, key: Hashable, builder: Callable[[], Any]) -> Any:
+        """The kernel layout for ``key``, computing it on first use."""
+        return self._stores["layout"].get_or_compute(key, builder)
 
     def miss(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """The miss measurement for ``key``, computing it on first use."""
-        return self._miss.get_or_compute(key, builder)
+        return self._stores["miss"].get_or_compute(key, builder)
 
     def miss_many(
         self,
@@ -212,7 +237,7 @@ class EvalCache:
         group in one pass while warm keys still count as cache hits --
         the counter semantics match ``len(keys)`` :meth:`miss` calls.
         """
-        return self._miss.get_or_compute_many(keys, builder)
+        return self._stores["miss"].get_or_compute_many(keys, builder)
 
     def counters(self) -> Dict[str, Dict[str, int]]:
         """Raw per-store counters of **this process only**.
@@ -221,10 +246,7 @@ class EvalCache:
         workers use; remote contributions are deliberately excluded so a
         worker forked from an already-merged parent cannot re-export them.
         """
-        return {
-            "trace": self._traces.counters(),
-            "miss": self._miss.counters(),
-        }
+        return {store: lru.counters() for store, lru in self._stores.items()}
 
     def merge_remote(self, delta: Dict[str, Dict[str, int]]) -> None:
         """Fold a worker's counter delta (``counters`` diff) into this cache.
@@ -288,10 +310,8 @@ class EvalCache:
 
     def clear(self) -> None:
         """Drop all entries and zero the counters (local and remote)."""
-        self._traces.clear()
-        self._miss.clear()
-        self._traces.hits = self._traces.misses = self._traces.evictions = 0
-        self._miss.hits = self._miss.misses = self._miss.evictions = 0
+        for lru in self._stores.values():
+            lru.clear()
         with self._remote_lock:
             for store in self._STORES:
                 for field in self._remote[store]:
@@ -300,12 +320,12 @@ class EvalCache:
     @property
     def trace_entries(self) -> int:
         """Number of traces currently retained."""
-        return len(self._traces)
+        return len(self._stores["trace"])
 
     @property
     def miss_entries(self) -> int:
         """Number of miss measurements currently retained."""
-        return len(self._miss)
+        return len(self._stores["miss"])
 
 
 _global_cache = EvalCache()

@@ -13,6 +13,9 @@ Traces and miss measurements are memoised in the process-wide
 :class:`~repro.engine.cache.EvalCache`, keyed on ``(workload, T, L, B)``
 and ``(trace, L, sets, ways, backend)`` respectively, so the associativity
 sweep and repeated sweeps across explorers never recompute shared work.
+The cache is handed to :meth:`~repro.engine.workload.Workload.trace_for`,
+so a kernel's layout is placed once per ``(nest, T, L)`` and every tiling
+reuses it.
 """
 
 from __future__ import annotations
@@ -141,8 +144,11 @@ class Evaluator:
 
     def _bundle_for(self, config: CacheConfig) -> TraceBundle:
         key = ("trace", self.workload.trace_key(config))
+        cache = self.cache
         with span("trace_gen", config=config.label(full=True)):
-            return self.cache.trace(key, lambda: self.workload.trace_for(config))
+            return cache.trace(
+                key, lambda: self.workload.trace_for(config, cache)
+            )
 
     def _measure_key(self, trace_key, config: CacheConfig):
         """Cache key of the measurement for ``config``.

@@ -56,7 +56,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
-from repro.engine.cache import get_eval_cache
 from repro.engine.resilience import (
     CircuitOpenError,
     CorruptPayloadError,
@@ -161,9 +160,7 @@ def _evaluate_chunk(
     token = indexed[0][0] if indexed else -1
     if injector is not None:
         injector.on_chunk_start(token, attempt)
-    cache = getattr(evaluator, "cache", None)
-    if cache is None:  # e.g. CompositeProgram: its evaluators share the global
-        cache = get_eval_cache()
+    cache = evaluator.cache
     cache_base = cache.counters()
     metrics_base = get_metrics().snapshot()
     collector = SpanCollector()
@@ -324,7 +321,10 @@ class ParallelSweep:
 
         ``evaluator`` is anything with a picklable
         ``evaluate_batch(configs)`` method returning estimates in input
-        order -- an :class:`~repro.engine.evaluator.Evaluator`, a
+        order and a ``cache`` property naming the
+        :class:`~repro.engine.cache.EvalCache` it fills (worker counter
+        deltas are taken and merged there) -- an
+        :class:`~repro.engine.evaluator.Evaluator`, a
         :class:`~repro.core.composite.CompositeProgram`, a
         :class:`~repro.serve.store.StoreBackedEvaluator`, etc.  This is
         the one place that chooses serial or pool evaluation: without
@@ -484,14 +484,11 @@ class ParallelSweep:
 
     def _merge_payload(self, evaluator: Any, payload: _ChunkPayload) -> None:
         """Fold one worker's observability payload into this process."""
-        cache = getattr(evaluator, "cache", None)
-        if cache is None:
-            cache = get_eval_cache()
         _, span_snapshot, metrics_delta, cache_delta, trace_events = payload
         if span_snapshot:
             get_collector().merge(span_snapshot)
         get_metrics().merge(metrics_delta)
-        cache.merge_remote(cache_delta)
+        evaluator.cache.merge_remote(cache_delta)
         if trace_events:
             recorder = _trace.current_trace()
             if recorder is not None:

@@ -8,7 +8,10 @@ are fixed, and composite programs aggregate kernels.  The
 
 * ``trace_key(config)`` -- the hashable identity of the trace a
   configuration needs (the :class:`~repro.engine.cache.EvalCache` key);
-* ``trace_for(config)`` -- the actual :class:`TraceBundle`.
+* ``trace_for(config, cache)`` -- the actual :class:`TraceBundle`; the
+  evaluator passes its :class:`~repro.engine.cache.EvalCache` so a
+  workload can memoise work that several traces share (a kernel's
+  layout, shared by every tiling of one geometry).
 
 Keys are structural: two equal kernels produce equal keys, so separate
 explorer instances over the same kernel share cached work.
@@ -23,6 +26,7 @@ from repro.cache.trace import MemoryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.config import CacheConfig
+    from repro.engine.cache import EvalCache
     from repro.icache.blocks import ControlFlowTrace
     from repro.kernels.base import Kernel
 
@@ -79,17 +83,26 @@ class Workload:
         """Hashable identity of the trace ``config`` evaluates against."""
         raise NotImplementedError
 
-    def trace_for(self, config: "CacheConfig") -> TraceBundle:
-        """Generate the trace ``config`` evaluates against."""
+    def trace_for(
+        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+    ) -> TraceBundle:
+        """Generate the trace ``config`` evaluates against.
+
+        ``cache`` is where sub-results shared between traces may be
+        memoised; ``None`` computes everything afresh.
+        """
         raise NotImplementedError
 
 
 class KernelWorkload(Workload):
     """A loop-nest kernel; traces depend on ``(T, L, B)`` only.
 
-    The Section 4.1 layout is recomputed per geometry when
-    ``optimize_layout`` is set, exactly as :class:`~repro.core.explorer.MemExplorer`
-    always did; the kernel's frozen-dataclass equality is the cache
+    With ``optimize_layout`` set, each trace uses the Section 4.1 layout
+    of its geometry.  That layout depends on the nest and ``(T, L)``
+    alone, so :meth:`trace_for` memoises it in the cache's ``layout``
+    store under ``("layout", nest, T, L)``: every tiling of one geometry,
+    and every kernel sharing the nest, reuses one placement and one
+    certificate.  The kernel's frozen-dataclass equality is the cache
     identity, so equal kernels share traces across explorer instances.
     """
 
@@ -102,11 +115,18 @@ class KernelWorkload(Workload):
         # The layout depends on (T, L); the access order additionally on B.
         return (self.key, config.size, config.line_size, config.tiling)
 
-    def trace_for(self, config: "CacheConfig") -> TraceBundle:
+    def trace_for(
+        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+    ) -> TraceBundle:
         if self.optimize_layout:
-            assignment = self.kernel.optimized_layout(
-                config.size, config.line_size
-            )
+            size, line = config.size, config.line_size
+            if cache is None:
+                assignment = self.kernel.optimized_layout(size, line)
+            else:
+                assignment = cache.layout(
+                    ("layout", self.kernel.nest, size, line),
+                    lambda: self.kernel.optimized_layout(size, line),
+                )
             layout = assignment.layout
             conflict_free = assignment.conflict_free
         else:
@@ -148,7 +168,9 @@ class InstructionWorkload(Workload):
     def trace_key(self, config: "CacheConfig") -> Hashable:
         return self.key
 
-    def trace_for(self, config: "CacheConfig") -> TraceBundle:
+    def trace_for(
+        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+    ) -> TraceBundle:
         return TraceBundle(trace=self.trace, conflict_free=False, events=None)
 
 
@@ -173,7 +195,9 @@ class TraceWorkload(Workload):
     def trace_key(self, config: "CacheConfig") -> Hashable:
         return self.key
 
-    def trace_for(self, config: "CacheConfig") -> TraceBundle:
+    def trace_for(
+        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+    ) -> TraceBundle:
         return TraceBundle(
             trace=self.trace,
             conflict_free=self.conflict_free,

@@ -14,7 +14,7 @@ from typing import Optional
 from repro.cache.trace import MemoryTrace
 from repro.layout.address_map import DataLayout, default_layout
 from repro.layout.assignment import AssignmentResult, assign_offchip_layout
-from repro.loops.ir import LoopNest
+from repro.loops.ir import LoopNest, cached_field_hash, state_without_hash
 from repro.loops.reuse import min_cache_lines, min_cache_size
 from repro.loops.trace_gen import generate_trace
 
@@ -29,6 +29,11 @@ class Kernel:
     n_tiled: Optional[int] = None
     invocations: int = 1
     source: str = ""
+
+    # Every trace, measurement and Add_bs key of the EvalCache holds the
+    # kernel: hash it once per instance, not once per lookup.
+    __hash__ = cached_field_hash
+    __getstate__ = state_without_hash
 
     def __post_init__(self) -> None:
         if self.invocations <= 0:

@@ -23,8 +23,8 @@ Loop bounds are *inclusive* on both ends, matching the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "AffineExpr",
@@ -38,6 +38,30 @@ __all__ = [
 
 #: Anything accepted where an affine expression is expected.
 ExprLike = Union["AffineExpr", int, str]
+
+
+def cached_field_hash(self) -> int:
+    """``__hash__`` of a frozen dataclass, computed once per instance.
+
+    Hashes the same field tuple the generated ``__hash__`` would, so
+    equality stays field-based.  Bind it as ``__hash__`` in the class body
+    (``@dataclass`` replaces an inherited one) together with
+    :func:`state_without_hash`: string hashes differ between processes,
+    so the cached value must not travel with a pickle.
+    """
+    try:
+        return self.__dict__["_hash"]
+    except KeyError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def state_without_hash(self) -> Dict[str, Any]:
+    """``__getstate__`` that leaves :func:`cached_field_hash`'s value behind."""
+    state = self.__dict__.copy()
+    state.pop("_hash", None)
+    return state
 
 
 @dataclass(frozen=True)
@@ -269,6 +293,12 @@ class LoopNest:
     refs: Tuple[ArrayRef, ...]
     arrays: Tuple[ArrayDecl, ...]
     description: str = ""
+
+    # Nests key the EvalCache (directly and through their kernels); the
+    # generated hash recurses through every loop, reference and affine
+    # expression on each lookup, so it is computed once per instance.
+    __hash__ = cached_field_hash
+    __getstate__ = state_without_hash
 
     def __post_init__(self) -> None:
         names = [loop.index for loop in self.loops]

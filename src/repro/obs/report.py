@@ -16,7 +16,8 @@ Schema (``repro.obs/1``)::
                                "mean_s": 0.0028}, ...},
       "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
       "cache":  {"trace": {"hits": .., "misses": .., "evictions": ..,
-                           "entries": .., "hit_rate": ..}, "miss": {...}}
+                           "entries": .., "hit_rate": ..}, "miss": {...},
+                 "layout": {...}}
     }
 
 ``spans``/``stages`` are empty unless profiling was enabled; ``cache`` is
@@ -138,10 +139,7 @@ def render_stage_table(report: Dict[str, Any]) -> str:
             f"{'store':>14s} {'hits':>8s} {'misses':>8s} "
             f"{'evictions':>10s} {'entries':>8s} {'hit rate':>9s}"
         )
-        for store in ("trace", "miss"):
-            row = cache.get(store)
-            if row is None:
-                continue
+        for store, row in cache.items():
             lines.append(
                 f"{store:>14s} {row['hits']:>8d} {row['misses']:>8d} "
                 f"{row['evictions']:>10d} {row['entries']:>8d} "

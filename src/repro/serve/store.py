@@ -866,7 +866,7 @@ class StoreBackedEvaluator:
     @property
     def cache(self):
         """The inner evaluator's in-memory L1 cache."""
-        return getattr(self.inner, "cache", None)
+        return self.inner.cache
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """One configuration, from the store when possible."""

@@ -207,6 +207,87 @@ class TestEvalCache:
         assert cache.stats().miss_hits == 1
 
 
+def _cold_compress_sweep(jobs=1):
+    """The paper's cold compress sweep in a fresh cache: (estimates,
+    layout-store row, certificate simulations made)."""
+    from repro.obs.metrics import get_metrics
+
+    simulations = get_metrics().counter("layout.verify.simulations")
+    before = simulations.value
+    cache = EvalCache()
+    estimates = Evaluator(
+        KernelWorkload(get_kernel("compress")), cache=cache
+    ).sweep(max_size=1024, ways=(1, 2, 4, 8), jobs=jobs)
+    return (
+        list(estimates),
+        cache.snapshot()["layout"],
+        simulations.value - before,
+    )
+
+
+class TestLayoutStore:
+    """Each (nest, T, L) layout is placed once per EvalCache.
+
+    The 568-config compress sweep has 157 (T, L, B) traces over 39
+    distinct (T, L) geometries: 39 placements (one certificate
+    simulation each) and 118 layout-store hits.
+    """
+
+    def test_cold_sweep_places_each_geometry_once(self):
+        for _ in range(2):  # a second fresh cache starts cold again
+            estimates, row, simulations = _cold_compress_sweep()
+            assert len(estimates) == 568
+            assert simulations == 39
+            assert (row["misses"], row["hits"]) == (39, 118)
+            assert row["entries"] == 39
+
+    def test_parallel_sweep_merges_layout_counters(self):
+        serial, _, _ = _cold_compress_sweep()
+        parallel, row, _ = _cold_compress_sweep(jobs=2)
+        assert parallel == serial
+        assert row["hits"] + row["misses"] == 157
+
+    def test_key_is_the_nest_not_the_invocations(self):
+        cache = EvalCache()
+        config = CacheConfig(64, 8)
+        kernel = get_kernel("compress")
+        for invocations in (1, 7):
+            KernelWorkload(kernel.with_invocations(invocations)).trace_for(
+                config, cache
+            )
+        row = cache.snapshot()["layout"]
+        assert (row["misses"], row["hits"]) == (1, 1)
+
+    def test_memoised_trace_matches_uncached(self):
+        workload = KernelWorkload(get_kernel("pde"))
+        config = CacheConfig(128, 8, tiling=2)
+        cached = workload.trace_for(config, EvalCache())
+        fresh = workload.trace_for(config)
+        assert np.array_equal(cached.trace.addresses, fresh.trace.addresses)
+        assert cached.conflict_free == fresh.conflict_free
+
+
+class TestCachedHash:
+    def test_hash_cached_but_not_pickled(self):
+        import pickle
+
+        kernel = get_kernel("compress")
+        expected = hash(kernel)
+        assert "_hash" in kernel.__dict__ and "_hash" in kernel.nest.__dict__
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert "_hash" not in clone.__dict__
+        assert "_hash" not in clone.nest.__dict__
+        assert clone == kernel and hash(clone) == expected
+
+    def test_equality_stays_field_based(self):
+        kernel = get_kernel("compress")
+        hash(kernel)
+        other = kernel.with_invocations(2)
+        assert other != kernel
+        assert other.with_invocations(1) == kernel
+        assert hash(other.with_invocations(1)) == hash(kernel)
+
+
 class TestWorkloads:
     def test_kernel_workloads_share_keys(self):
         a = KernelWorkload(get_kernel("compress"))

@@ -188,6 +188,17 @@ class TestEvalCacheStats:
         cache.clear()
         assert cache.stats().trace_hits == 0
 
+    def test_layout_store_in_snapshot_and_cleared(self):
+        cache = EvalCache()
+        cache.layout("k", lambda: 1)
+        cache.layout("k", lambda: 1)
+        cache.merge_remote({"layout": {"hits": 2, "misses": 3}})
+        row = cache.snapshot()["layout"]
+        assert (row["hits"], row["misses"], row["entries"]) == (3, 4, 1)
+        cache.clear()
+        row = cache.snapshot()["layout"]
+        assert (row["hits"], row["misses"], row["entries"]) == (0, 0, 0)
+
     def test_snapshot_concurrent_with_merges(self):
         cache = EvalCache()
         stop = threading.Event()
@@ -368,6 +379,9 @@ class TestReport:
         )
         for needle in ("trace_gen", "miss_measure", "EvalCache", "hit rate"):
             assert needle in table
+        # Every store of the snapshot gets a row, the layout store included.
+        rows = [line.split()[:1] for line in table.splitlines()]
+        assert rows.count(["layout"]) == 1
         # Stages render in pipeline order, not alphabetically.
         assert table.index("sweep") < table.index("trace_gen")
 

@@ -68,6 +68,10 @@ class _PoisonedEvaluator:
         self.inner = Evaluator(KernelWorkload(kernel))
         self.poison = poison
 
+    @property
+    def cache(self):
+        return self.inner.cache
+
     def evaluate(self, config):
         if config == self.poison:
             raise ValueError("poisoned configuration")
