@@ -14,7 +14,7 @@ from conftest import FIGURE_GRID
 from repro.cache.sampling import sampled_miss_rate
 from repro.core.cycles import processor_cycles
 from repro.core.explorer import MemExplorer
-from repro.engine import KernelWorkload
+from repro.engine import EvalCache, KernelWorkload
 from repro.kernels import make_compress, make_dequant
 
 STRIDES = (2, 4)
@@ -26,11 +26,12 @@ def run_comparison():
         kernel = make()
         explorer = MemExplorer(kernel)
         workload = KernelWorkload(kernel)
+        cache = EvalCache()
         model = explorer.energy_model
         rows = []
         for config in FIGURE_GRID:
             exact = explorer.evaluate(config)
-            trace = workload.trace_for(config).trace
+            trace = workload.trace_for(config, cache).trace
             line_ids = trace.line_ids(config.line_size)
             sampled = {}
             for stride in STRIDES:

@@ -9,7 +9,8 @@ implementation, consumed by every exploration layer:
 * :mod:`repro.engine.backends` -- pluggable miss-measurement backends
   (``fastsim``, ``reference``, ``sampled``, ``analytic``);
 * :mod:`repro.engine.cache` -- the process-wide, size-bounded
-  :class:`EvalCache` memoising traces and miss vectors;
+  :class:`EvalCache` memoising traces, kernel layouts and miss
+  measurements;
 * :mod:`repro.engine.evaluator` -- the :class:`Evaluator` pipeline;
 * :mod:`repro.engine.parallel` -- :class:`ParallelSweep`, chunked
   multi-process fan-out with deterministic, bit-identical results;

@@ -36,6 +36,10 @@ from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.obs.metrics import get_metrics
 
+#: Bound on the ``layout`` store: an AssignmentResult is a few placements,
+#: and a 1 KiB-to-64 KiB grid has well under a hundred (T, L) per nest.
+_MAX_LAYOUTS = 1024
+
 __all__ = ["CacheStats", "EvalCache", "configure_eval_cache", "get_eval_cache"]
 
 
@@ -183,10 +187,10 @@ class EvalCache:
     max_miss_entries:
         Bound on retained miss measurements (small records) and DRAM
         miss-stream vectors (one bool per access).
-    max_layouts:
-        Bound on retained kernel layouts (one small
-        :class:`~repro.layout.assignment.AssignmentResult` per
-        ``(nest, T, L)``).
+
+    The ``layout`` store holds at most :data:`_MAX_LAYOUTS` kernel layouts
+    (one small :class:`~repro.layout.assignment.AssignmentResult` per
+    ``(nest, T, L)``).
     """
 
     _STORES = ("trace", "miss", "layout")
@@ -195,12 +199,11 @@ class EvalCache:
         self,
         max_traces: int = 64,
         max_miss_entries: int = 1024,
-        max_layouts: int = 1024,
     ) -> None:
         bounds = {
             "trace": max_traces,
             "miss": max_miss_entries,
-            "layout": max_layouts,
+            "layout": _MAX_LAYOUTS,
         }
         self._stores = {
             store: _LruStore(bounds[store], metric_prefix=f"evalcache.{store}")

@@ -84,12 +84,12 @@ class Workload:
         raise NotImplementedError
 
     def trace_for(
-        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+        self, config: "CacheConfig", cache: "EvalCache"
     ) -> TraceBundle:
         """Generate the trace ``config`` evaluates against.
 
-        ``cache`` is where sub-results shared between traces may be
-        memoised; ``None`` computes everything afresh.
+        ``cache`` is where sub-results shared between traces are memoised
+        (the evaluator passes its own).
         """
         raise NotImplementedError
 
@@ -116,17 +116,14 @@ class KernelWorkload(Workload):
         return (self.key, config.size, config.line_size, config.tiling)
 
     def trace_for(
-        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+        self, config: "CacheConfig", cache: "EvalCache"
     ) -> TraceBundle:
         if self.optimize_layout:
             size, line = config.size, config.line_size
-            if cache is None:
-                assignment = self.kernel.optimized_layout(size, line)
-            else:
-                assignment = cache.layout(
-                    ("layout", self.kernel.nest, size, line),
-                    lambda: self.kernel.optimized_layout(size, line),
-                )
+            assignment = cache.layout(
+                ("layout", self.kernel.nest, size, line),
+                lambda: self.kernel.optimized_layout(size, line),
+            )
             layout = assignment.layout
             conflict_free = assignment.conflict_free
         else:
@@ -169,7 +166,7 @@ class InstructionWorkload(Workload):
         return self.key
 
     def trace_for(
-        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+        self, config: "CacheConfig", cache: "EvalCache"
     ) -> TraceBundle:
         return TraceBundle(trace=self.trace, conflict_free=False, events=None)
 
@@ -196,7 +193,7 @@ class TraceWorkload(Workload):
         return self.key
 
     def trace_for(
-        self, config: "CacheConfig", cache: Optional["EvalCache"] = None
+        self, config: "CacheConfig", cache: "EvalCache"
     ) -> TraceBundle:
         return TraceBundle(
             trace=self.trace,

@@ -46,7 +46,7 @@ simulator's 3C classification by the integration suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.layout.address_map import ArrayPlacement, DataLayout
 from repro.loops.compat import nest_is_compatible
@@ -107,36 +107,10 @@ def _pitches_with_row(decl: ArrayDecl, row_pitch: int) -> Tuple[int, ...]:
     return tuple(padded)
 
 
-class _RefAnchor(NamedTuple):
-    """Pitch-independent facts about one reference, computed once per pass.
-
-    ``subscripts`` are its subscripts at the nest's first iteration point;
-    ``inner_coeffs`` holds, per dimension, the coefficient of the innermost
-    loop index (empty when the nest has no loops).
-    """
-
-    subscripts: Tuple[int, ...]
-    inner_coeffs: Tuple[int, ...]
-
-
-def _ref_anchors(nest: LoopNest) -> List[_RefAnchor]:
-    """One :class:`_RefAnchor` per reference of ``nest``, in program order."""
-    first_point = {lp.index: lp.lower for lp in nest.loops}
-    inner = nest.loops[-1].index if nest.loops else None
-    return [
-        _RefAnchor(
-            ref.evaluate(first_point),
-            tuple(expr.coeff(inner) for expr in ref.indices)
-            if inner is not None
-            else (),
-        )
-        for ref in nest.refs
-    ]
-
-
 def _group_windows(
     nest: LoopNest,
-    anchors: Sequence[_RefAnchor],
+    first_subscripts: Sequence[Tuple[int, ...]],
+    inner_coeffs: Sequence[Tuple[int, ...]],
     groups: Sequence[ReferenceGroup],
     decl: ArrayDecl,
     pitches: Sequence[int],
@@ -146,9 +120,11 @@ def _group_windows(
 
     Anchors are evaluated at the nest's first iteration point with the
     padded pitches, so row padding moves the windows exactly as it moves
-    the addresses.  ``anchors`` are the references' pitch-independent
-    parts (:func:`_ref_anchors`), computed once per placement pass rather
-    than once per pitch candidate.
+    the addresses.  ``first_subscripts`` holds each reference's subscripts
+    at that point and ``inner_coeffs`` each reference's innermost-loop
+    coefficient per dimension; neither depends on the pitches, so
+    :func:`_place` computes them once per pass rather than once per pitch
+    candidate.
 
     With ``sweep`` set, a window covers the group's entire innermost-loop
     *sweep range* (its instantaneous extent plus the distance it slides
@@ -163,12 +139,12 @@ def _group_windows(
     for group in groups:
         offsets = []
         for ref_index in group.ref_indices:
-            subscripts = anchors[ref_index].subscripts
+            subscripts = first_subscripts[ref_index]
             offsets.append(sum(p * s for p, s in zip(pitches, subscripts)))
         anchor = min(offsets)
         width = (max(offsets) - anchor + 1) * decl.element_size
         if sweep and innermost is not None:
-            coeffs = anchors[group.ref_indices[0]].inner_coeffs
+            coeffs = inner_coeffs[group.ref_indices[0]]
             delta = sum(p * c for p, c in zip(pitches, coeffs))
             slide = abs(delta) * decl.element_size * innermost.step
             width += (innermost.trip_count - 1) * slide
@@ -316,7 +292,12 @@ def _place(
     span = cache_size  # num_lines * line_size bytes
     num_lines = cache_size // line_size
     groups = group_references(nest)
-    anchors = _ref_anchors(nest)
+    first_point = {lp.index: lp.lower for lp in nest.loops}
+    first_subscripts = [ref.evaluate(first_point) for ref in nest.refs]
+    inner = nest.loops[-1].index if nest.loops else None
+    inner_coeffs = [
+        tuple(expr.coeff(inner) for expr in ref.indices) for ref in nest.refs
+    ]
     by_array: Dict[str, List[ReferenceGroup]] = {}
     for group in groups:
         by_array.setdefault(group.array, []).append(group)
@@ -362,7 +343,13 @@ def _place(
         for _, extra, row_pitch in sorted(pitch_candidates):
             pitches = _pitches_with_row(decl, row_pitch)
             windows = _group_windows(
-                nest, anchors, array_groups, decl, pitches, sweep
+                nest,
+                first_subscripts,
+                inner_coeffs,
+                array_groups,
+                decl,
+                pitches,
+                sweep,
             )
             internal = [
                 (decl.element_size * w.anchor_elements, w.width_bytes)
@@ -388,7 +375,8 @@ def _place(
                     dense_row,
                     _group_windows(
                         nest,
-                        anchors,
+                        first_subscripts,
+                        inner_coeffs,
                         array_groups,
                         decl,
                         _pitches_with_row(decl, dense_row),

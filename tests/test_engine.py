@@ -259,12 +259,13 @@ class TestLayoutStore:
         assert (row["misses"], row["hits"]) == (1, 1)
 
     def test_memoised_trace_matches_uncached(self):
-        workload = KernelWorkload(get_kernel("pde"))
+        kernel = get_kernel("pde")
         config = CacheConfig(128, 8, tiling=2)
-        cached = workload.trace_for(config, EvalCache())
-        fresh = workload.trace_for(config)
-        assert np.array_equal(cached.trace.addresses, fresh.trace.addresses)
-        assert cached.conflict_free == fresh.conflict_free
+        cached = KernelWorkload(kernel).trace_for(config, EvalCache())
+        assignment = kernel.optimized_layout(128, 8)
+        fresh = kernel.trace(layout=assignment.layout, tile=2)
+        assert np.array_equal(cached.trace.addresses, fresh.addresses)
+        assert cached.conflict_free == assignment.conflict_free
 
 
 class TestCachedHash:
